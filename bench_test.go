@@ -21,6 +21,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/ledger"
+	"repro/internal/litmus"
 	"repro/internal/logging"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -339,6 +340,22 @@ func BenchmarkStepTraced(b *testing.B) {
 	b.StopTimer()
 	if err := tr.Close(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkNewSystemLitmus measures the fixed cost of one litmus case's
+// machine: assembling a System at the litmus configuration and releasing
+// it. With cache arrays recycled through Release, bytes/op is the
+// per-System bookkeeping, not the ~12.5 MB of L1/L2/L3 ways.
+func BenchmarkNewSystemLitmus(b *testing.B) {
+	cfg := litmus.SimConfig(2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys, err := core.NewSystem(cfg, core.Proteus, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Release()
 	}
 }
 

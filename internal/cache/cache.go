@@ -12,6 +12,9 @@
 package cache
 
 import (
+	"math/bits"
+	"sync"
+
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/memctrl"
@@ -26,33 +29,96 @@ type way struct {
 	data  [isa.LineSize]byte
 }
 
-// Level is one set-associative cache.
+// Level is one set-associative cache. All sets share one flat backing
+// array indexed by set*Ways, so a level is two allocations (ways and the
+// used-set bitmap) however many sets it has.
 type Level struct {
 	cfg     config.Cache
-	sets    [][]way
+	ways    []way
 	setMask uint64
+	// used has one bit per set victim has handed a way out of. A way
+	// becomes valid only through victim, so every set holding state is
+	// marked and Release clears exactly those.
+	used []uint64
+	free bool // on the free list; guards against a double Release
 }
 
-// NewLevel builds a cache level from its configuration. All sets share
-// one flat backing array: a level is two allocations instead of one per
-// set, which matters when thousands of Systems are built per campaign.
+// levelPool recycles released levels per geometry (size and ways; the
+// latency is re-applied on reuse). A plain free list never holds more
+// levels than were alive at once, and unlike sync.Pool it is not drained
+// by every GC, so campaigns that build thousands of short-lived Systems
+// stop allocating and zeroing megabytes of cache arrays per run.
+var levelPool = struct {
+	sync.Mutex
+	free map[config.Cache][]*Level
+}{free: make(map[config.Cache][]*Level)}
+
+func geometry(cfg config.Cache) config.Cache {
+	return config.Cache{SizeBytes: cfg.SizeBytes, Ways: cfg.Ways}
+}
+
+// NewLevel returns an empty cache level for the configuration, reusing a
+// released level of the same geometry when one is free.
 func NewLevel(cfg config.Cache) *Level {
-	n := cfg.Sets()
-	backing := make([]way, n*cfg.Ways)
-	sets := make([][]way, n)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
+	key := geometry(cfg)
+	levelPool.Lock()
+	free := levelPool.free[key]
+	if n := len(free); n > 0 {
+		l := free[n-1]
+		free[n-1] = nil
+		levelPool.free[key] = free[:n-1]
+		levelPool.Unlock()
+		l.cfg, l.free = cfg, false
+		return l
 	}
-	return &Level{cfg: cfg, sets: sets, setMask: uint64(n - 1)}
+	levelPool.Unlock()
+	return newLevel(cfg)
 }
 
-func (l *Level) set(line uint64) []way {
-	return l.sets[(line/isa.LineSize)&l.setMask]
+// newLevel allocates a fresh, zeroed level.
+func newLevel(cfg config.Cache) *Level {
+	n := cfg.Sets()
+	return &Level{
+		cfg:     cfg,
+		ways:    make([]way, n*cfg.Ways),
+		setMask: uint64(n - 1),
+		used:    make([]uint64, (n+63)/64),
+	}
+}
+
+// Release resets the level to its freshly built state and returns it to
+// the free list for the next NewLevel of its geometry. Only the sets
+// victim marked are cleared. The caller must drop every reference to the
+// level; releasing it twice is a no-op.
+func (l *Level) Release() {
+	if l.free {
+		return
+	}
+	for i, word := range l.used {
+		for ; word != 0; word &= word - 1 {
+			clear(l.setAt(i*64 + bits.TrailingZeros64(word)))
+		}
+		l.used[i] = 0
+	}
+	l.free = true
+	key := geometry(l.cfg)
+	levelPool.Lock()
+	levelPool.free[key] = append(levelPool.free[key], l)
+	levelPool.Unlock()
+}
+
+func (l *Level) setIndex(line uint64) int {
+	return int((line / isa.LineSize) & l.setMask)
+}
+
+func (l *Level) setAt(si int) []way {
+	i := si * l.cfg.Ways
+	return l.ways[i : i+l.cfg.Ways : i+l.cfg.Ways]
 }
 
 // lookup returns the way holding line, or nil.
 func (l *Level) lookup(line uint64) *way {
-	s := l.set(line)
+	s := l.setAt(l.setIndex(line))
 	for i := range s {
 		if s[i].valid && s[i].tag == line {
 			return &s[i]
@@ -62,9 +128,12 @@ func (l *Level) lookup(line uint64) *way {
 }
 
 // victim returns the way to allocate for line: an invalid way if any,
-// otherwise the LRU way. The caller handles the victim's dirty data.
+// otherwise the LRU way. The caller handles the victim's dirty data. It
+// marks the set used, since the caller is about to make the way valid.
 func (l *Level) victim(line uint64) *way {
-	s := l.set(line)
+	si := l.setIndex(line)
+	l.used[si/64] |= 1 << (si % 64)
+	s := l.setAt(si)
 	var v *way
 	for i := range s {
 		if !s[i].valid {
@@ -96,6 +165,18 @@ func NewHierarchy(cfg config.Config, l3 *Level, mc *memctrl.Controller, st *stat
 		l1: NewLevel(cfg.L1D), l2: NewLevel(cfg.L2), l3: l3,
 		mc: mc, l3ToMC: cfg.Mem.L3ToMC, st: st,
 	}
+}
+
+// Release returns the core's private L1D and L2 to the free list (the
+// shared L3 belongs to whoever built it). The hierarchy must not be used
+// afterwards; a second call is a no-op.
+func (h *Hierarchy) Release() {
+	if h.l1 == nil {
+		return
+	}
+	h.l1.Release()
+	h.l2.Release()
+	h.l1, h.l2 = nil, nil
 }
 
 // fill brings line into every level down to L1 and returns the cycle the

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
@@ -11,7 +13,10 @@ import (
 )
 
 func newHier() (*Hierarchy, *memctrl.Controller, *stats.Core, *stats.Mem) {
-	cfg := config.Default()
+	return newHierCfg(config.Default())
+}
+
+func newHierCfg(cfg config.Config) (*Hierarchy, *memctrl.Controller, *stats.Core, *stats.Mem) {
 	ms := &stats.Mem{}
 	cs := &stats.Core{}
 	store := nvm.NewStore()
@@ -166,4 +171,115 @@ func TestCrossLineAccesses(t *testing.T) {
 			t.Fatalf("cross-line byte %d = %d", i, b)
 		}
 	}
+}
+
+// TestReleasedLevelIsFresh drives every level through fills, dirty
+// evictions down to memory and clwbs, releases them, and requires the
+// levels NewLevel hands back to deep-equal freshly allocated ones: all
+// ways zero and no set marked used.
+func TestReleasedLevelIsFresh(t *testing.T) {
+	// Scaled-down caches keep the reflective comparison cheap under -race.
+	cfg := config.Default()
+	cfg.L1D.SizeBytes, cfg.L2.SizeBytes, cfg.L3.SizeBytes = 4<<10, 16<<10, 64<<10
+	h, mc, _, _ := newHierCfg(cfg)
+	mc.ForceDrain(true)
+	l1, l2, l3 := h.l1, h.l2, h.l3
+	base := uint64(isa.HeapBase)
+	stride := uint64(cfg.L3.SizeBytes)
+	n := cfg.L3.Ways + cfg.L2.Ways + cfg.L1D.Ways + 2
+	now := uint64(1)
+	for i := 0; i < n; i++ {
+		for _, off := range []uint64{0, 64, 4096} {
+			addr := base + off + uint64(i)*stride
+			if _, ok := h.Store(now, addr, []byte{byte(i + 1)}); !ok {
+				t.Fatalf("store %d refused", i)
+			}
+			if i%3 == 0 {
+				h.Clwb(now+1, addr)
+			}
+			// Let the memory controller drain the write-backs.
+			for end := now + 10_000; now < end && !mc.WPQEmpty(); now++ {
+				mc.Tick(now)
+			}
+			now += 10_000
+		}
+	}
+	for _, l := range []*Level{l1, l2, l3} {
+		if !levelTouched(l) {
+			t.Fatalf("%d-byte level untouched by the workout", l.cfg.SizeBytes)
+		}
+	}
+
+	h.Release()
+	h.Release() // no-op: the private levels must not be listed twice
+	l3.Release()
+	for _, c := range []struct {
+		cfg  config.Cache
+		want *Level
+	}{{cfg.L3, l3}, {cfg.L2, l2}, {cfg.L1D, l1}} {
+		got := NewLevel(c.cfg)
+		if got != c.want {
+			t.Fatalf("%d-byte level: NewLevel did not reuse the released level", c.cfg.SizeBytes)
+		}
+		if !reflect.DeepEqual(got, newLevel(c.cfg)) {
+			t.Fatalf("%d-byte level: reused level differs from a fresh one", c.cfg.SizeBytes)
+		}
+		if again := NewLevel(c.cfg); again == got {
+			t.Fatalf("%d-byte level: handed out twice", c.cfg.SizeBytes)
+		}
+	}
+}
+
+// levelTouched reports whether any way holds state or any set is marked.
+func levelTouched(l *Level) bool {
+	for _, w := range l.used {
+		if w != 0 {
+			return true
+		}
+	}
+	for i := range l.ways {
+		if l.ways[i] != (way{}) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestReusedLevelKeepsItsLatency checks that only the geometry keys the
+// free list: a level reused under a different latency reports the new one.
+func TestReusedLevelKeepsItsLatency(t *testing.T) {
+	c := config.Cache{SizeBytes: 4 << 10, Ways: 4, Latency: 3}
+	l := NewLevel(c)
+	l.Release()
+	c.Latency = 9
+	if got := NewLevel(c); got != l || got.Latency() != 9 {
+		t.Fatalf("reused level: same=%v latency %d, want the released level at 9", got == l, got.Latency())
+	}
+}
+
+// TestLevelFreeListConcurrent recycles levels of one geometry from
+// several goroutines at once, as concurrent engine workers do: every
+// level handed out must be clear, and no level may be held twice (the
+// race detector reports two holders writing the same ways).
+func TestLevelFreeListConcurrent(t *testing.T) {
+	c := config.Cache{SizeBytes: 2 << 10, Ways: 2, Latency: 1}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				l := NewLevel(c)
+				if levelTouched(l) {
+					t.Error("NewLevel handed out a level with state")
+					return
+				}
+				line := uint64(g*1000+i) * isa.LineSize
+				w := l.victim(line)
+				*w = way{tag: line, valid: true, dirty: true, lru: uint64(i + 1)}
+				l.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
 }

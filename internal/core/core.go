@@ -146,6 +146,7 @@ type System struct {
 	dev   *nvm.Device
 	mc    *memctrl.Controller
 	l3    *cache.Level
+	hiers []*cache.Hierarchy
 	cores []*cpu.Core
 
 	coreStats []stats.Core
@@ -154,6 +155,7 @@ type System struct {
 	cycle       uint64
 	drainCycles uint64
 	finished    bool
+	released    bool
 
 	// Fast-forward state: the stepper choice, the progress signature of
 	// the previous cycle, and reusable counter snapshots for the measured
@@ -204,9 +206,28 @@ func NewSystem(cfg config.Config, scheme Scheme, traces []*isa.Trace, initImage 
 			ops = traces[i].Ops
 		}
 		hier := cache.NewHierarchy(cfg, s.l3, s.mc, &s.coreStats[i])
+		s.hiers = append(s.hiers, hier)
 		s.cores = append(s.cores, cpu.New(i, cfg, scheme.Mode(), scheme.LWR(), hier, s.mc, ops, &s.coreStats[i]))
 	}
 	return s, nil
+}
+
+// Release returns the machine's cache arrays (every core's L1D and L2,
+// and the shared L3) to a free list, so the next System of the same cache
+// geometry reuses them instead of allocating and zeroing ~12 MB. Call it
+// when the run is over: the statistics, commits, store and crash images
+// stay readable, but Step (and so Run) panics afterwards. A second call
+// is a no-op.
+func (s *System) Release() {
+	if s.released {
+		return
+	}
+	s.released = true
+	for _, h := range s.hiers {
+		h.Release()
+	}
+	s.l3.Release()
+	s.hiers, s.l3 = nil, nil
 }
 
 // Device exposes the memory device (endurance accounting).
@@ -279,6 +300,9 @@ func (s *System) emitSample(cycle uint64, final bool) {
 // cores finish. It returns the number of cycles actually advanced,
 // including fast-forwarded spans.
 func (s *System) Step(n uint64) uint64 {
+	if s.released {
+		panic("core: Step on a released System")
+	}
 	if s.stepper == StepperReference {
 		return s.stepReference(n)
 	}
@@ -480,6 +504,16 @@ func (s *System) Commits() [][]cpu.Commit {
 	out := make([][]cpu.Commit, len(s.cores))
 	for i, c := range s.cores {
 		out[i] = append([]cpu.Commit(nil), c.Commits...)
+	}
+	return out
+}
+
+// CommittedCounts returns how many transactions each core has committed
+// so far, without copying the commit records.
+func (s *System) CommittedCounts() []int {
+	out := make([]int, len(s.cores))
+	for i, c := range s.cores {
+		out[i] = len(c.Commits)
 	}
 	return out
 }

@@ -50,9 +50,10 @@ func (tc *tupleCtx) writeArtifact(inj injection, orig InjectionResult, m *Minimi
 	if err != nil {
 		return "", "", err
 	}
+	defer sys.Release()
 	stepTo(sys, inj.cycle)
 	img := buildImage(sys, tc.threads, inj)
-	committed := committedCounts(sys)
+	committed := sys.CommittedCounts()
 
 	name := fmt.Sprintf("%s-%s-%s-c%d",
 		strings.ToLower(tc.bench.Abbrev()), sanitize(tc.scheme.String()), inj.fault, orig.Cycle)
@@ -173,11 +174,12 @@ func (a *ArtifactMeta) Replay(ctx context.Context, sim config.Config) (*ReplayRe
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Release()
 	stepTo(sys, a.Cycle)
 	inj := injection{fault: fault, cycle: a.Cycle, seed: a.FaultSeed, mask: a.Mask}
 	return &ReplayResult{
 		Image:     buildImage(sys, sim.Cores, inj),
-		Committed: committedCounts(sys),
+		Committed: sys.CommittedCounts(),
 		Oracle:    recovery.NewOracle(wl),
 		Scheme:    scheme,
 		SW:        scheme == core.PMEM || scheme == core.PMEMPcommit,

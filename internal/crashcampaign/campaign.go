@@ -139,15 +139,6 @@ func stepTo(sys *core.System, cycle uint64) {
 	}
 }
 
-func committedCounts(sys *core.System) []int {
-	commits := sys.Commits()
-	counts := make([]int, len(commits))
-	for i, cs := range commits {
-		counts[i] = len(cs)
-	}
-	return counts
-}
-
 // classify runs recovery + oracle verification on the image and maps the
 // result through the expectation matrix.
 func (tc *tupleCtx) classify(img *nvm.Store, fault Fault, committed []int) (Outcome, string) {
@@ -190,8 +181,9 @@ func (tc *tupleCtx) evaluateAt(inj injection) (Outcome, string, error) {
 	if err != nil {
 		return "", "", err
 	}
+	defer sys.Release()
 	stepTo(sys, inj.cycle)
-	out, detail := tc.classify(buildImage(sys, tc.threads, inj), inj.fault, committedCounts(sys))
+	out, detail := tc.classify(buildImage(sys, tc.threads, inj), inj.fault, sys.CommittedCounts())
 	return out, detail, nil
 }
 
@@ -360,12 +352,13 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 				if err != nil {
 					return err
 				}
+				defer sys.Release()
 				for pi := lo; pi < hi; pi++ {
 					if err := ctx.Err(); err != nil {
 						return err
 					}
 					stepTo(sys, points[pi])
-					committed := committedCounts(sys)
+					committed := sys.CommittedCounts()
 					for fi, f := range faults {
 						inj := injection{
 							fault: f,

@@ -67,12 +67,10 @@ func (tc *tupleCtx) minimize(ctx context.Context, r InjectionResult) (*Minimized
 
 	// Shrink the fault mask for the fault models that have one.
 	if fault == FaultTorn || fault == FaultCorrupt {
-		sys, err := tc.newSystem()
+		n, err := tc.maskTargetsAt(base.cycle, fault)
 		if err != nil {
 			return nil, err
 		}
-		stepTo(sys, base.cycle)
-		n := maskTargets(sys, tc.threads, fault)
 		m.Targets = n
 		if n > 0 {
 			mask, err := tc.shrinkMask(base, r.Outcome, n)
@@ -99,6 +97,18 @@ func (tc *tupleCtx) minimize(ctx context.Context, r InjectionResult) (*Minimized
 		m.Artifact, m.Repro = dir, repro
 	}
 	return m, nil
+}
+
+// maskTargetsAt replays the tuple to the cycle and counts the fault's
+// mask targets there.
+func (tc *tupleCtx) maskTargetsAt(cycle uint64, fault Fault) (int, error) {
+	sys, err := tc.newSystem()
+	if err != nil {
+		return 0, err
+	}
+	defer sys.Release()
+	stepTo(sys, cycle)
+	return maskTargets(sys, tc.threads, fault), nil
 }
 
 // shrinkMask greedily removes chunks of the [0, n) target mask while the

@@ -431,6 +431,7 @@ func (e *Engine) simulate1(ctx context.Context, j Job) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: %v: %w", j, err)
 	}
+	defer sys.Release()
 	sys.SetStepper(e.conf.Stepper)
 	var tr *trace.Tracer
 	if e.conf.Trace != nil {

@@ -186,6 +186,7 @@ func runCase(c *Config, prog Program, scheme core.Scheme) (CaseReport, error) {
 	if err != nil {
 		return cr, err
 	}
+	defer sys.Release()
 	sys.SetStepper(c.Stepper)
 
 	// firstDiv remembers which faults already produced their minimized
@@ -195,7 +196,7 @@ func runCase(c *Config, prog Program, scheme core.Scheme) (CaseReport, error) {
 	for !sys.Finished() {
 		sys.Step(1)
 		key := persistKey{sig: sys.PersistSig()}
-		for t, n := range committedCounts(sys) {
+		for t, n := range sys.CommittedCounts() {
 			key.committed[t] = n
 		}
 		if seen[key] {
@@ -216,7 +217,7 @@ func runCase(c *Config, prog Program, scheme core.Scheme) (CaseReport, error) {
 // divergence per fault.
 func classifyState(c *Config, cr *CaseReport, ck *checker, sys *core.System, compiled *Compiled, firstDiv map[crashcampaign.Fault]bool) error {
 	threads := len(compiled.Prog.Threads)
-	committed := committedCounts(sys)
+	committed := sys.CommittedCounts()
 	cycle := sys.Cycle()
 	for _, f := range c.Faults {
 		if !f.AppliesTo(ck.scheme) {
@@ -260,13 +261,4 @@ func classifyState(c *Config, cr *CaseReport, ck *checker, sys *core.System, com
 		cr.Divergences = append(cr.Divergences, div)
 	}
 	return nil
-}
-
-func committedCounts(sys *core.System) []int {
-	commits := sys.Commits()
-	counts := make([]int, len(commits))
-	for i, cs := range commits {
-		counts[i] = len(cs)
-	}
-	return counts
 }

@@ -129,7 +129,7 @@ func TestArtifactReplayRoundtrip(t *testing.T) {
 		Fault: crashcampaign.FaultTorn,
 		Seed:  crashcampaign.InjectionSeed(7, "roundtrip"),
 	}
-	committed := committedCounts(sys)
+	committed := sys.CommittedCounts()
 	outcome, detail := ck.classify(inj.Apply(sys, 1), inj.Fault, committed)
 	dir, repro, err := writeArtifact(conf, ck, compiled, sys, inj, sys.Cycle(), committed, outcome, detail)
 	if err != nil {

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -63,6 +64,48 @@ func TestSnapshotIsolation(t *testing.T) {
 	snap.WriteUint64(0x100, 3)
 	if s.ReadUint64(0x100) != 2 {
 		t.Fatal("original mutated by snapshot write")
+	}
+}
+
+// bytesPerOp returns the heap bytes one call of f allocates, averaged
+// over n calls.
+func bytesPerOp(n int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// TestSmallStoresAllocateInProportion pins the slab sizing: a three-line
+// snapshot (a litmus crash image) and a fork that writes three lines must
+// allocate in proportion to their lines, well under one full slab.
+func TestSmallStoresAllocateInProportion(t *testing.T) {
+	const fullSlab = slabBlocks * isa.LineSize
+	s := NewStore()
+	for i := uint64(0); i < 3; i++ {
+		s.WriteUint64(0x1000+i*isa.LineSize, i+1)
+	}
+	if got := bytesPerOp(100, func() { s.Snapshot() }); got > fullSlab/8 {
+		t.Errorf("3-line Snapshot allocates %d bytes/op, want well under one %d-byte slab", got, fullSlab)
+	}
+	if got := bytesPerOp(100, func() {
+		f := s.Fork()
+		for i := uint64(0); i < 3; i++ {
+			f.WriteUint64(0x9000+i*isa.LineSize, i)
+		}
+	}); got > fullSlab/8 {
+		t.Errorf("3-line fork write allocates %d bytes/op, want well under one %d-byte slab", got, fullSlab)
+	}
+	// A growing store still ends up carving full slabs.
+	big := NewStore()
+	for i := uint64(0); i <= 4*slabBlocks; i++ {
+		big.WriteUint64(i*isa.LineSize, i)
+	}
+	if got := cap(big.slab); got != slabBlocks-1 {
+		t.Errorf("%d lines leave %d free slab blocks, want a fresh %d-block slab minus one", 4*slabBlocks+1, got, slabBlocks)
 	}
 }
 

@@ -42,13 +42,19 @@ func (s *Store) Fork() *Store {
 	return &Store{blocks: make(map[uint64]*[isa.LineSize]byte), base: s}
 }
 
-// slabBlocks sizes the arena chunks blocks are carved from: one heap
-// allocation covers this many lines.
-const slabBlocks = 512
+// Blocks are carved from arena slabs: one heap allocation covers many
+// lines. A slab is sized to the store's current block count, clamped to
+// [minSlabBlocks, slabBlocks], so slabs grow geometrically with the store
+// and a small crash image or fork does not carve a 32 KB slab for a
+// handful of lines.
+const (
+	minSlabBlocks = 16
+	slabBlocks    = 512
+)
 
 func (s *Store) newBlock() *[isa.LineSize]byte {
 	if len(s.slab) == 0 {
-		s.slab = make([][isa.LineSize]byte, slabBlocks)
+		s.slab = make([][isa.LineSize]byte, min(max(len(s.blocks), minSlabBlocks), slabBlocks))
 	}
 	b := &s.slab[0]
 	s.slab = s.slab[1:]
@@ -168,7 +174,10 @@ func (s *Store) WriteUint64(addr, v uint64) {
 // stores are flattened: the copy holds the merged contents and has no base.
 func (s *Store) Snapshot() *Store {
 	v := s.view()
-	c := &Store{blocks: make(map[uint64]*[isa.LineSize]byte, len(v))}
+	c := &Store{
+		blocks: make(map[uint64]*[isa.LineSize]byte, len(v)),
+		slab:   make([][isa.LineSize]byte, len(v)),
+	}
 	for a, b := range v {
 		nb := c.newBlock()
 		*nb = *b
