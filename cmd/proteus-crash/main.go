@@ -5,7 +5,7 @@
 // the oracle's durable-transaction property, and classifies every
 // injection. Expected-safe combinations that fail are bisected to the
 // earliest failing cycle, their fault masks shrunk, and dumped as
-// ready-to-replay reproducer artifacts for proteus-recover.
+// ready-to-replay reproducer artifacts for proteus-recover -replay.
 //
 // The report is deterministic in (flags, -seed): the same sweep produces
 // byte-identical report.json at any -jobs count.
@@ -60,7 +60,7 @@ func main() {
 	exitOn(err)
 	benches, err := parseBenches(*benchList)
 	exitOn(err)
-	schemes, err := parseSchemes(*schemeList)
+	schemes, err := core.ParseSchemes(*schemeList)
 	exitOn(err)
 	var mode crashcampaign.MinimizeMode
 	switch *minimize {
@@ -150,39 +150,11 @@ func parseBenches(s string) ([]workload.Kind, error) {
 	}
 	var out []workload.Kind
 	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		found := false
-		for _, k := range workload.Table2 {
-			if strings.EqualFold(k.Abbrev(), name) {
-				out = append(out, k)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown benchmark %q", name)
-		}
-	}
-	return out, nil
-}
-
-func parseSchemes(s string) ([]core.Scheme, error) {
-	if strings.EqualFold(s, "all") {
-		var out []core.Scheme
-		for _, sc := range core.Schemes {
-			if sc.FailureSafe() {
-				out = append(out, sc)
-			}
-		}
-		return out, nil
-	}
-	var out []core.Scheme
-	for _, name := range strings.Split(s, ",") {
-		sc, err := crashcampaign.SchemeByName(strings.TrimSpace(name))
+		k, err := workload.KindByName(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, sc)
+		out = append(out, k)
 	}
 	return out, nil
 }

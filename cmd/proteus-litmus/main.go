@@ -5,9 +5,10 @@
 // every run with the crash campaign's fault models, and checks each
 // recovered image against the exact post-crash states the scheme's
 // declared ordering axioms permit. Any divergence is a bug — in the
-// simulator, the recovery path, or the axioms — and is reported with the
-// earliest divergent cycle, a shrunken fault mask, and (with -artifacts)
-// a replayable reproducer.
+// simulator, the recovery path, or the axioms — and is minimized like a
+// crash-campaign failure: the crash cycle bisected, the fault mask
+// shrunk, and (with -artifacts) a reproducer dumped that
+// proteus-recover -replay re-runs.
 //
 // The report is deterministic in (flags, -seed): byte-identical at any
 // -jobs count and under either -stepper.
@@ -16,7 +17,6 @@
 //
 //	proteus-litmus -programs curated -faults all -out litmus.json
 //	proteus-litmus -programs all -scheme Proteus,Proteus+NoLWR -jobs 8
-//	proteus-litmus -replay repro/Pc_x_y-Proteus-torn-c42
 package main
 
 import (
@@ -44,19 +44,13 @@ func main() {
 		artifacts   = flag.String("artifacts", "", "dump divergence reproducers into this directory")
 		seed        = flag.Int64("seed", 1, "per-injection fault randomness seed")
 		stepperSel  = flag.String("stepper", "fast", "cycle-advance strategy: fast or reference")
-		replayDir   = flag.String("replay", "", "re-check a reproducer directory instead of sweeping")
 		quiet       = flag.Bool("q", false, "suppress the stderr summary")
 	)
 	flag.Parse()
 
-	if *replayDir != "" {
-		replay(*replayDir)
-		return
-	}
-
 	programs, err := parsePrograms(*programsArg)
 	exitOn(err)
-	schemes, err := parseSchemes(*schemeList)
+	schemes, err := core.ParseSchemes(*schemeList)
 	exitOn(err)
 	faults, err := crashcampaign.ParseFaults(*faultsArg)
 	exitOn(err)
@@ -71,7 +65,6 @@ func main() {
 		Workers:     *jobs,
 		Stepper:     stepper,
 		ArtifactDir: *artifacts,
-		ReplayCmd:   "proteus-litmus",
 	}
 
 	start := time.Now()
@@ -107,24 +100,6 @@ func main() {
 	}
 }
 
-// replay re-checks a reproducer directory: exit 0 when the recorded
-// outcome reproduces, 2 when the image now classifies differently, 1 on
-// error.
-func replay(dir string) {
-	res, err := litmus.Replay(dir)
-	exitOn(err)
-	fmt.Printf("program   %s\nscheme    %s\nfault     %s\ncycle     %d\ncommitted %v\nrecorded  %s\nreplayed  %s\n",
-		res.Meta.Program, res.Meta.Scheme, res.Meta.Fault, res.Meta.Cycle, res.Meta.Committed, res.Meta.Outcome, res.Outcome)
-	if res.Detail != "" {
-		fmt.Printf("detail    %s\n", res.Detail)
-	}
-	if !res.Reproduced {
-		fmt.Println("NOT reproduced")
-		os.Exit(2)
-	}
-	fmt.Println("reproduced")
-}
-
 func parsePrograms(s string) ([]litmus.Program, error) {
 	switch {
 	case strings.EqualFold(s, "all"):
@@ -139,27 +114,6 @@ func parsePrograms(s string) ([]litmus.Program, error) {
 			return nil, err
 		}
 		out = append(out, p)
-	}
-	return out, nil
-}
-
-func parseSchemes(s string) ([]core.Scheme, error) {
-	if strings.EqualFold(s, "all") {
-		var out []core.Scheme
-		for _, sc := range core.Schemes {
-			if sc.FailureSafe() {
-				out = append(out, sc)
-			}
-		}
-		return out, nil
-	}
-	var out []core.Scheme
-	for _, name := range strings.Split(s, ",") {
-		sc, err := crashcampaign.SchemeByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sc)
 	}
 	return out, nil
 }

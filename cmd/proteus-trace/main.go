@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -50,7 +49,7 @@ func main() {
 		return
 	}
 
-	kind, err := parseBench(*benchName)
+	kind, err := workload.KindByName(*benchName)
 	exitOn(err)
 	p := kind.DefaultParams(1)
 	p.Threads = *threads
@@ -69,7 +68,7 @@ func main() {
 		schemes = append(schemes, *schemeB)
 	}
 	for _, name := range schemes {
-		scheme, err := parseScheme(name)
+		scheme, err := core.SchemeByName(name)
 		exitOn(err)
 		traces, err := logging.Generate(w, scheme, cfg)
 		exitOn(err)
@@ -106,24 +105,6 @@ func dumpTxns(tr *isa.Trace, n int) {
 			return
 		}
 	}
-}
-
-func parseBench(s string) (workload.Kind, error) {
-	for _, k := range append(append([]workload.Kind{}, workload.Table2...), workload.LinkedList) {
-		if strings.EqualFold(k.Abbrev(), s) {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown benchmark %q", s)
-}
-
-func parseScheme(s string) (core.Scheme, error) {
-	for _, sc := range core.Schemes {
-		if strings.EqualFold(sc.String(), s) {
-			return sc, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
 }
 
 func exitOn(err error) {

@@ -229,6 +229,45 @@ func TestClusterDeterministicAcrossWorkerCountAndLoss(t *testing.T) {
 	}
 }
 
+// TestClusterMatchesLocalWhenFaultsOmitClean: a config whose Faults list
+// leaves out FaultClean must sweep the same injections locally and on the
+// cluster. Workers re-parse fault names, so both sides have to agree on
+// the implied clean baseline.
+func TestClusterMatchesLocalWhenFaultsOmitClean(t *testing.T) {
+	c := testCampaign()
+	c.Faults = []crashcampaign.Fault{crashcampaign.FaultTorn}
+
+	co := NewCoordinator(Config{LeaseTTL: 5 * time.Second})
+	ts := mountCoordinator(t, co)
+	stop := startWorker(t, newTestWorker("solo", ts.URL, 2))
+	defer stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	remote, err := RunCampaign(ctx, co, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c.Engine = engine.New(engine.Config{})
+	local, err := crashcampaign.Run(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote.Totals.Injections != local.Totals.Injections {
+		t.Fatalf("cluster swept %d injections, local %d", remote.Totals.Injections, local.Totals.Injections)
+	}
+	var a, b bytes.Buffer
+	if err := remote.WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := local.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("cluster and local reports differ")
+	}
+}
+
 // TestQuarantinePoisonedItem: an item that fails every attempt must burn
 // its retry budget and surface ErrQuarantined to the waiter instead of
 // looping forever.

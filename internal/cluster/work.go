@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -96,7 +97,7 @@ func (w TupleWork) compile(eng *engine.Engine) (crashcampaign.Config, workload.K
 	if err != nil {
 		return crashcampaign.Config{}, 0, 0, err
 	}
-	faults, err := crashcampaign.ParseFaults(joinNames(w.Faults))
+	faults, err := crashcampaign.ParseFaults(strings.Join(w.Faults, ","))
 	if err != nil {
 		return crashcampaign.Config{}, 0, 0, err
 	}
@@ -113,17 +114,6 @@ func (w TupleWork) compile(eng *engine.Engine) (crashcampaign.Config, workload.K
 		Engine:   eng,
 	}
 	return c, kind, scheme, nil
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ","
-		}
-		out += n
-	}
-	return out
 }
 
 // executeItem runs one leased item on the worker's engine and returns its

@@ -77,6 +77,35 @@ func SchemeByName(name string) (Scheme, error) {
 	return 0, fmt.Errorf("core: unknown scheme %q (want one of %v)", name, Schemes)
 }
 
+// FailureSafeSchemes returns the schemes that claim failure safety, in
+// presentation order: the default set of every crash-consistency sweep.
+func FailureSafeSchemes() []Scheme {
+	var out []Scheme
+	for _, s := range Schemes {
+		if s.FailureSafe() {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// ParseSchemes parses a comma-separated scheme list; "all" means the
+// failure-safe set.
+func ParseSchemes(list string) ([]Scheme, error) {
+	if strings.EqualFold(list, "all") {
+		return FailureSafeSchemes(), nil
+	}
+	var out []Scheme
+	for _, name := range strings.Split(list, ",") {
+		s, err := SchemeByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
 // Mode returns the core execution mode the scheme needs.
 func (s Scheme) Mode() cpu.Mode {
 	switch s {

@@ -1,18 +1,14 @@
 package crashcampaign
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/logging"
 	"repro/internal/nvm"
-	"repro/internal/recovery"
 	"repro/internal/workload"
 )
 
@@ -22,16 +18,21 @@ const ImageFileName = "image.nvmimg"
 // MetaFileName is the replay descriptor inside an artifact dir.
 const MetaFileName = "meta.json"
 
-// ArtifactMeta is everything needed to replay a minimized failure from
-// scratch: the workload identity and parameters, the fault and its seed,
-// the crash cycle, and the shrunk fault mask. proteus-recover's -campaign
-// flag consumes it.
+// ReplayCommand prefixes an artifact directory to form the command line
+// that replays it.
+const ReplayCommand = "proteus-recover -replay "
+
+// ArtifactMeta is everything needed to rebuild a reproducer's target and
+// re-run its injection from scratch: the program source and its
+// parameters, the scheme, the fault with its seed and mask, and the crash
+// cycle, plus the outcome it was recorded with.
 type ArtifactMeta struct {
-	Bench             string          `json:"bench"`
+	// Source is a benchmark abbreviation or a litmus program name.
+	Source            string          `json:"source"`
 	Scheme            string          `json:"scheme"`
 	Params            workload.Params `json:"params"`
 	ConfigFingerprint string          `json:"config_fingerprint"`
-	CampaignSeed      int64           `json:"campaign_seed"`
+	Seed              int64           `json:"seed"`
 	Fault             string          `json:"fault"`
 	FaultSeed         uint64          `json:"fault_seed"`
 	Cycle             uint64          `json:"cycle"`
@@ -40,159 +41,139 @@ type ArtifactMeta struct {
 	Committed         []int           `json:"committed"`
 	Outcome           Outcome         `json:"outcome"`
 	Detail            string          `json:"detail,omitempty"`
-	Image             string          `json:"image"`
+	// Dir is where the artifact lives; it is not stored.
+	Dir string `json:"-"`
 }
 
-// writeArtifact dumps the minimized failure as a reproducer directory and
-// returns its path plus the ready-to-run replay command line.
-func (tc *tupleCtx) writeArtifact(inj injection, orig InjectionResult, m *Minimized) (string, string, error) {
-	sys, err := tc.newSystem()
+// Artifact is a loaded reproducer directory.
+type Artifact struct {
+	Meta ArtifactMeta
+	// Image is the stored serialized (pre-recovery) crash image.
+	Image []byte
+}
+
+// crash replays the program to the injection's cycle and returns the
+// crash image, its serialization and the committed counts there.
+func (t *Target) crash(inj Injection) (*nvm.Store, []byte, []int, error) {
+	sys, err := t.SystemAt(inj.Cycle)
 	if err != nil {
-		return "", "", err
+		return nil, nil, nil, err
 	}
 	defer sys.Release()
-	stepTo(sys, inj.cycle)
-	img := buildImage(sys, tc.threads, inj)
-	committed := sys.CommittedCounts()
-
-	name := fmt.Sprintf("%s-%s-%s-c%d",
-		strings.ToLower(tc.bench.Abbrev()), sanitize(tc.scheme.String()), inj.fault, orig.Cycle)
-	dir := filepath.Join(tc.camp.ArtifactDir, name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", "", fmt.Errorf("crashcampaign: artifact dir: %w", err)
+	img := inj.Apply(sys, t.Sim.Cores)
+	var buf bytes.Buffer
+	if err := img.Serialize(&buf); err != nil {
+		return nil, nil, nil, err
 	}
-
-	f, err := os.Create(filepath.Join(dir, ImageFileName))
-	if err != nil {
-		return "", "", err
-	}
-	if err := img.Serialize(f); err != nil {
-		f.Close()
-		return "", "", err
-	}
-	if err := f.Close(); err != nil {
-		return "", "", err
-	}
-
-	meta := ArtifactMeta{
-		Bench:             tc.bench.Abbrev(),
-		Scheme:            tc.scheme.String(),
-		Params:            tc.camp.Params,
-		ConfigFingerprint: tc.cfg.Fingerprint(),
-		CampaignSeed:      tc.camp.Seed,
-		Fault:             inj.fault.String(),
-		FaultSeed:         inj.seed,
-		Cycle:             inj.cycle,
-		OriginalCycle:     orig.Cycle,
-		Mask:              inj.mask,
-		Committed:         committed,
-		Outcome:           m.Outcome,
-		Detail:            m.Detail,
-		Image:             ImageFileName,
-	}
-	b, err := json.MarshalIndent(&meta, "", "  ")
-	if err != nil {
-		return "", "", err
-	}
-	metaPath := filepath.Join(dir, MetaFileName)
-	if err := os.WriteFile(metaPath, append(b, '\n'), 0o644); err != nil {
-		return "", "", err
-	}
-	return dir, fmt.Sprintf("%s -campaign %s", tc.camp.RecoverCmd, metaPath), nil
+	return img, buf.Bytes(), sys.CommittedCounts(), nil
 }
 
+// WriteArtifact replays the injection, classifies it, and dumps it as a
+// reproducer directory under root, named after the source, scheme, fault
+// and the cycle the failure was first seen at (origCycle).
+func (t *Target) WriteArtifact(root string, inj Injection, origCycle uint64) (*ArtifactMeta, error) {
+	img, raw, committed, err := t.crash(inj)
+	if err != nil {
+		return nil, err
+	}
+	out, detail := t.Classify(img, inj.Fault, committed)
+	m := &ArtifactMeta{
+		Source:            t.Source,
+		Scheme:            t.Scheme.String(),
+		Params:            t.Params,
+		ConfigFingerprint: t.Sim.Fingerprint(),
+		Seed:              t.Seed,
+		Fault:             inj.Fault.String(),
+		FaultSeed:         inj.Seed,
+		Cycle:             inj.Cycle,
+		OriginalCycle:     origCycle,
+		Mask:              inj.Mask,
+		Committed:         committed,
+		Outcome:           out,
+		Detail:            detail,
+		Dir: filepath.Join(root, fmt.Sprintf("%s-%s-%s-c%d",
+			sanitize(t.Source), sanitize(t.Scheme.String()), inj.Fault, origCycle)),
+	}
+	b, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	if err := os.MkdirAll(m.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("crashcampaign: artifact dir: %w", err)
+	}
+	if err := os.WriteFile(filepath.Join(m.Dir, ImageFileName), raw, 0o644); err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(filepath.Join(m.Dir, MetaFileName), append(b, '\n'), 0o644); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// sanitize maps a source or scheme name to a directory-name fragment:
+// lower case, '+' spelled 'p', ';' (a litmus transaction split) spelled
+// '.', anything else outside [a-z0-9-] spelled '_'.
 func sanitize(s string) string {
 	return strings.Map(func(r rune) rune {
 		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-':
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-':
 			return r
 		case r == '+':
 			return 'p'
+		case r == ';':
+			return '.'
 		default:
 			return '_'
 		}
 	}, strings.ToLower(s))
 }
 
-// LoadArtifact reads an artifact's replay descriptor.
-func LoadArtifact(path string) (*ArtifactMeta, error) {
-	b, err := os.ReadFile(path)
+// LoadArtifact reads a reproducer directory.
+func LoadArtifact(dir string) (*Artifact, error) {
+	b, err := os.ReadFile(filepath.Join(dir, MetaFileName))
 	if err != nil {
 		return nil, err
 	}
-	var m ArtifactMeta
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("crashcampaign: parsing %s: %w", path, err)
+	a := &Artifact{}
+	if err := json.Unmarshal(b, &a.Meta); err != nil {
+		return nil, fmt.Errorf("crashcampaign: parsing %s: %w", MetaFileName, err)
 	}
-	return &m, nil
+	a.Meta.Dir = dir
+	if a.Image, err = os.ReadFile(filepath.Join(dir, ImageFileName)); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
-// ReplayResult is the rebuilt pre-recovery state of an artifact (or of a
-// manual injection): the faulted crash image plus everything the caller
-// needs to run recovery and verify it.
+// ReplayResult is the outcome of replaying an artifact.
 type ReplayResult struct {
-	Image     *nvm.Store
+	// ImageMatches reports whether the rebuilt crash image is
+	// byte-identical to the stored one.
+	ImageMatches bool
+	// Committed holds the per-thread committed counts at the crash cycle.
 	Committed []int
-	Oracle    *recovery.Oracle
-	Scheme    core.Scheme
-	SW        bool
-	Threads   int
+	// Outcome and Detail classify the rebuilt image.
+	Outcome Outcome
+	Detail  string
+	// Reproduced: the image matches and classifies as recorded.
+	Reproduced bool
 }
 
-// Replay re-runs the artifact's injection from scratch under sim (which
-// should match the recorded config fingerprint; the caller is told if it
-// does not) and returns the faulted image ready for recovery.
-func (a *ArtifactMeta) Replay(ctx context.Context, sim config.Config) (*ReplayResult, error) {
-	var kind workload.Kind
-	found := false
-	for _, k := range workload.Table2 {
-		if strings.EqualFold(k.Abbrev(), a.Bench) {
-			kind, found = k, true
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("crashcampaign: unknown benchmark %q", a.Bench)
-	}
-	scheme, err := SchemeByName(a.Scheme)
+// Replay re-simulates the artifact's injection on the target from cycle
+// 0, compares the rebuilt crash image with the stored one, and classifies
+// it again. The target must be the one the artifact's meta describes.
+func (t *Target) Replay(a *Artifact) (*ReplayResult, error) {
+	fault, err := FaultByName(a.Meta.Fault)
 	if err != nil {
 		return nil, err
 	}
-	fault, err := parseFault(a.Fault)
+	inj := Injection{Fault: fault, Cycle: a.Meta.Cycle, Seed: a.Meta.FaultSeed, Mask: a.Meta.Mask}
+	img, raw, committed, err := t.crash(inj)
 	if err != nil {
 		return nil, err
 	}
-	sim.Cores = a.Params.Threads
-	wl, err := workload.Build(kind, a.Params)
-	if err != nil {
-		return nil, err
-	}
-	traces, err := logging.Generate(wl, scheme, sim)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(sim, scheme, traces, wl.InitImage)
-	if err != nil {
-		return nil, err
-	}
-	defer sys.Release()
-	stepTo(sys, a.Cycle)
-	inj := injection{fault: fault, cycle: a.Cycle, seed: a.FaultSeed, mask: a.Mask}
-	return &ReplayResult{
-		Image:     buildImage(sys, sim.Cores, inj),
-		Committed: sys.CommittedCounts(),
-		Oracle:    recovery.NewOracle(wl),
-		Scheme:    scheme,
-		SW:        scheme == core.PMEM || scheme == core.PMEMPcommit,
-		Threads:   sim.Cores,
-	}, nil
-}
-
-// SchemeByName resolves a scheme by its display name (case-insensitive).
-func SchemeByName(name string) (core.Scheme, error) {
-	for _, s := range core.Schemes {
-		if strings.EqualFold(s.String(), name) {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("crashcampaign: unknown scheme %q", name)
+	r := &ReplayResult{ImageMatches: bytes.Equal(raw, a.Image), Committed: committed}
+	r.Outcome, r.Detail = t.Classify(img, fault, committed)
+	r.Reproduced = r.ImageMatches && r.Outcome == a.Meta.Outcome
+	return r, nil
 }

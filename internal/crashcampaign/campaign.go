@@ -9,10 +9,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/isa"
-	"repro/internal/logging"
-	"repro/internal/nvm"
-	"repro/internal/recovery"
 	"repro/internal/workload"
 )
 
@@ -51,8 +47,8 @@ type Config struct {
 	// Rand adds seeded-random points on top.
 	Sweep int
 	Rand  int
-	// Faults lists the fault models to inject at every point (FaultClean
-	// is implied if absent).
+	// Faults lists the fault models to inject at every point; Normalize
+	// puts FaultClean first even when the list leaves it out.
 	Faults []Fault
 	// Seed drives crash-point choice and per-injection randomness.
 	Seed int64
@@ -65,9 +61,6 @@ type Config struct {
 	// (memoized jobs shared with any experiments on the same engine) and
 	// the sweep chunks (bounded by the same worker pool).
 	Engine *engine.Engine
-	// RecoverCmd names the replay binary in generated repro command lines;
-	// empty means "proteus-recover".
-	RecoverCmd string
 	// Stepper selects the cycle-advance strategy for the sweep systems
 	// (the zero value is the event-driven fast stepper). The full-length
 	// reference runs executed through Engine follow the engine's own
@@ -88,103 +81,13 @@ func (c *Config) fill() {
 		c.Benches = workload.Table2
 	}
 	if len(c.Schemes) == 0 {
-		for _, s := range core.Schemes {
-			if s.FailureSafe() {
-				c.Schemes = append(c.Schemes, s)
-			}
-		}
+		c.Schemes = core.FailureSafeSchemes()
 	}
-	if len(c.Faults) == 0 {
-		c.Faults = []Fault{FaultClean}
-	}
+	c.Faults = NormalizeFaults(c.Faults)
 	if c.Sweep <= 0 && c.Rand <= 0 {
 		c.Sweep = 16
 	}
-	if c.RecoverCmd == "" {
-		c.RecoverCmd = "proteus-recover"
-	}
 	c.Sim.Cores = c.Params.Threads
-}
-
-// tupleCtx holds everything needed to replay one (bench, scheme) tuple to
-// an arbitrary cycle. Traces and the workload are immutable during runs,
-// so concurrent chunks share them and build private Systems.
-type tupleCtx struct {
-	camp    *Config
-	bench   workload.Kind
-	scheme  core.Scheme
-	cfg     config.Config
-	wl      *workload.Workload
-	traces  []*isa.Trace
-	oracle  *recovery.Oracle
-	threads int
-	sw      bool
-	job     engine.Job
-}
-
-// newSystem builds a fresh machine for the tuple.
-func (tc *tupleCtx) newSystem() (*core.System, error) {
-	sys, err := core.NewSystem(tc.cfg, tc.scheme, tc.traces, tc.wl.InitImage)
-	if err != nil {
-		return nil, err
-	}
-	sys.SetStepper(tc.camp.Stepper)
-	return sys, nil
-}
-
-// stepTo advances the system to the cycle (or the end of the run).
-func stepTo(sys *core.System, cycle uint64) {
-	if cycle > sys.Cycle() && !sys.Finished() {
-		sys.Step(cycle - sys.Cycle())
-	}
-}
-
-// classify runs recovery + oracle verification on the image and maps the
-// result through the expectation matrix.
-func (tc *tupleCtx) classify(img *nvm.Store, fault Fault, committed []int) (Outcome, string) {
-	_, rerr := recovery.Recover(img, tc.scheme, tc.threads)
-	if rerr != nil {
-		if !recovery.IsDetectedCorruption(rerr) {
-			return OutcomeFailed, "recovery error: " + rerr.Error()
-		}
-		if fault == FaultClean || expectSafe(tc.scheme, fault) {
-			// Nominal operation (or a fault inside the scheme's
-			// guarantees) must never leave a log recovery rejects.
-			return OutcomeFailed, "corruption detected in expected-safe run: " + rerr.Error()
-		}
-		return OutcomeDetected, rerr.Error()
-	}
-	verify := tc.oracle.VerifyPrefix
-	if tc.sw {
-		verify = tc.oracle.VerifyPrefixSW
-	}
-	if _, verr := verify(img, committed); verr != nil {
-		switch {
-		case expectSafe(tc.scheme, fault):
-			return OutcomeFailed, verr.Error()
-		case fault == FaultCorrupt && tc.scheme.FailureSafe():
-			// Recovery accepted a corrupted log and produced a wrong
-			// state: the one outcome the integrity layer exists to
-			// prevent.
-			return OutcomeFailed, "silent corruption accepted: " + verr.Error()
-		default:
-			return OutcomeVulnerable, verr.Error()
-		}
-	}
-	return OutcomeVerified, ""
-}
-
-// evaluateAt replays the tuple to the cycle and classifies one injection
-// there. The minimizer's predicate.
-func (tc *tupleCtx) evaluateAt(inj injection) (Outcome, string, error) {
-	sys, err := tc.newSystem()
-	if err != nil {
-		return "", "", err
-	}
-	defer sys.Release()
-	stepTo(sys, inj.cycle)
-	out, detail := tc.classify(buildImage(sys, tc.threads, inj), inj.fault, sys.CommittedCounts())
-	return out, detail, nil
 }
 
 // crashPoints computes the tuple's crash points: Sweep evenly spaced
@@ -270,10 +173,7 @@ func AssembleReport(c Config, tuples []*TupleReport) *Report {
 		rep.Tuples = append(rep.Tuples, *tr)
 		rep.Totals.Tuples++
 		rep.Totals.Injections += len(tr.Injections)
-		rep.Totals.Verified += tr.Verified
-		rep.Totals.Detected += tr.Detected
-		rep.Totals.Vulnerable += tr.Vulnerable
-		rep.Totals.Failed += tr.Failed
+		rep.Totals.Add(tr.Tally)
 		for _, ir := range tr.Injections {
 			if ir.Minimized != nil {
 				rep.Totals.Minimized++
@@ -307,24 +207,18 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 	if err != nil {
 		return nil, fmt.Errorf("crashcampaign: %v/%v reference run: %w", bench, scheme, err)
 	}
-	traces, err := logging.Generate(wl, scheme, c.Sim)
+	tgt, err := NewTarget(bench.Abbrev(), scheme, c.Sim, wl, OracleExpectation(wl, scheme))
 	if err != nil {
 		return nil, fmt.Errorf("crashcampaign: %v/%v: %w", bench, scheme, err)
 	}
-	tc := &tupleCtx{
-		camp: c, bench: bench, scheme: scheme, cfg: c.Sim,
-		wl: wl, traces: traces, oracle: recovery.NewOracle(wl),
-		threads: c.Sim.Cores,
-		sw:      scheme == core.PMEM || scheme == core.PMEMPcommit,
-		job:     job,
-	}
+	tgt.Seed, tgt.Stepper = c.Seed, c.Stepper
 
 	total := full.Report.Cycles
 	points := crashPoints(total, c.Sweep, c.Rand,
-		seedFor(c.Seed, bench.Abbrev(), scheme.String(), "points"))
+		InjectionSeed(c.Seed, bench.Abbrev(), scheme.String(), "points"))
 	var faults []Fault
 	for _, f := range c.Faults {
-		if f.appliesTo(scheme) {
+		if f.AppliesTo(scheme) {
 			faults = append(faults, f)
 		}
 	}
@@ -348,7 +242,7 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 		go func() {
 			defer wg.Done()
 			err := eng.Do(ctx, func(ctx context.Context) error {
-				sys, err := tc.newSystem()
+				sys, err := tgt.NewSystem()
 				if err != nil {
 					return err
 				}
@@ -360,12 +254,8 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 					stepTo(sys, points[pi])
 					committed := sys.CommittedCounts()
 					for fi, f := range faults {
-						inj := injection{
-							fault: f,
-							cycle: points[pi],
-							seed:  seedFor(c.Seed, bench.Abbrev(), scheme.String(), f.String(), fmt.Sprint(points[pi])),
-						}
-						out, detail := tc.classify(buildImage(sys, tc.threads, inj), f, committed)
+						inj := tgt.Injection(f, points[pi])
+						out, detail := tgt.Classify(inj.Apply(sys, c.Sim.Cores), f, committed)
 						results[pi*len(faults)+fi] = InjectionResult{
 							Cycle: points[pi], Fault: f.String(),
 							Outcome: out, Detail: detail,
@@ -395,11 +285,12 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 			if r.Outcome != OutcomeFailed && !(c.Minimize == MinimizeAll && r.Outcome == OutcomeVulnerable) {
 				continue
 			}
+			inj := tgt.Injection(faults[i%len(faults)], r.Cycle)
 			mwg.Add(1)
 			go func() {
 				defer mwg.Done()
 				err := eng.Do(ctx, func(ctx context.Context) error {
-					m, err := tc.minimize(ctx, *r)
+					m, err := tgt.Minimize(ctx, inj, r.Outcome, c.ArtifactDir)
 					if err != nil {
 						return err
 					}
@@ -428,7 +319,7 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 		Injections:  results,
 	}
 	for _, r := range results {
-		rep.count(r.Outcome)
+		rep.Count(r.Outcome)
 	}
 	return rep, nil
 }

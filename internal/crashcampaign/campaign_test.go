@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -175,37 +176,53 @@ func TestMinimizerProducesReproducer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	meta, err := LoadArtifact(filepath.Join(min.Artifact, MetaFileName))
+	if want := ReplayCommand + min.Artifact; min.Repro != want {
+		t.Fatalf("repro command %q, want %q", min.Repro, want)
+	}
+
+	// Round trip: rebuild the target from the artifact alone and replay.
+	a, err := LoadArtifact(min.Artifact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := meta.Replay(context.Background(), config.Default())
+	kind, err := workload.KindByName(a.Meta.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The replayed image must be byte-identical to the stored one.
-	f, err := os.Open(filepath.Join(min.Artifact, ImageFileName))
+	scheme, err := core.SchemeByName(a.Meta.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	var rebuilt, stored bytes.Buffer
-	if err := res.Image.Serialize(&rebuilt); err != nil {
+	wl, err := workload.Build(kind, a.Meta.Params)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stored.ReadFrom(f); err != nil {
+	sim := config.Default()
+	sim.Cores = a.Meta.Params.Threads
+	tgt, err := NewTarget(a.Meta.Source, scheme, sim, wl, OracleExpectation(wl, scheme))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(rebuilt.Bytes(), stored.Bytes()) {
+	res, err := tgt.Replay(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The replayed image must be byte-identical to the stored one, and it
+	// must still exhibit the failure.
+	if !res.ImageMatches {
 		t.Fatal("replayed crash image differs from the stored artifact image")
 	}
-	// And it must still exhibit the failure.
-	verify := res.Oracle.VerifyPrefix
-	if res.SW {
-		verify = res.Oracle.VerifyPrefixSW
+	if !res.Reproduced || res.Outcome != min.Outcome {
+		t.Fatalf("replay classified %s (%s), minimizer recorded %s", res.Outcome, res.Detail, min.Outcome)
 	}
-	if _, err := verify(res.Image, res.Committed); err == nil {
-		t.Fatal("minimized reproducer no longer fails verification")
+
+	// A stored image with one flipped byte no longer matches.
+	a.Image[len(a.Image)/2] ^= 1
+	if res, err = tgt.Replay(a); err != nil {
+		t.Fatal(err)
+	}
+	if res.ImageMatches || res.Reproduced {
+		t.Fatalf("flipped stored image still matches: %+v", res)
 	}
 }
 
@@ -223,6 +240,9 @@ func TestParseFaults(t *testing.T) {
 	}
 	if fs, _ = ParseFaults(""); len(fs) != 1 || fs[0] != FaultClean {
 		t.Fatalf("empty -> %v", fs)
+	}
+	if fs, _ = ParseFaults("corrupt, torn,clean,torn"); !slices.Equal(fs, []Fault{FaultClean, FaultTorn, FaultCorrupt}) {
+		t.Fatalf("unsorted list with duplicates -> %v", fs)
 	}
 	if _, err := ParseFaults("nope"); err == nil {
 		t.Fatal("bad fault accepted")

@@ -7,6 +7,11 @@
 // bisected to the earliest failing cycle and the fault mask shrunk) and
 // dumped as ready-to-replay reproducer artifacts.
 //
+// The per-injection machinery — Target, its Expectation, the classifier,
+// the minimizer, the artifact format and its replay — is the one crash
+// pipeline of the repository: the litmus harness sweeps its programs as
+// Targets judged by the ordering axioms instead of the oracle.
+//
 // Everything the campaign computes is deterministic in (config, seed):
 // crash points, per-injection randomness, result order, and the report
 // bytes are identical no matter how many engine workers execute the
@@ -16,6 +21,7 @@ package crashcampaign
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 
@@ -46,60 +52,60 @@ const (
 	FaultCorrupt
 )
 
-var faultNames = map[Fault]string{
-	FaultClean:   "clean",
-	FaultTorn:    "torn",
-	FaultADRLoss: "adrloss",
-	FaultCorrupt: "corrupt",
-}
+// AllFaults lists every model in campaign order.
+var AllFaults = []Fault{FaultClean, FaultTorn, FaultADRLoss, FaultCorrupt}
+
+var faultNames = [...]string{"clean", "torn", "adrloss", "corrupt"}
 
 func (f Fault) String() string {
-	if n, ok := faultNames[f]; ok {
-		return n
+	if f >= 0 && int(f) < len(faultNames) {
+		return faultNames[f]
 	}
 	return fmt.Sprintf("Fault(%d)", int(f))
 }
 
-// AllFaults lists every model in campaign order.
-var AllFaults = []Fault{FaultClean, FaultTorn, FaultADRLoss, FaultCorrupt}
-
-// ParseFaults parses a comma-separated fault list ("torn,adrloss", or
-// "all"). FaultClean is always included first: the clean sweep is the
-// baseline every campaign needs.
-func ParseFaults(s string) ([]Fault, error) {
-	out := []Fault{FaultClean}
-	seen := map[Fault]bool{FaultClean: true}
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if name == "all" {
-			for _, f := range AllFaults {
-				if !seen[f] {
-					seen[f] = true
-					out = append(out, f)
-				}
-			}
-			continue
-		}
-		found := false
-		for f, n := range faultNames {
-			if n == name {
-				if !seen[f] {
-					seen[f] = true
-					out = append(out, f)
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("crashcampaign: unknown fault %q (have clean, torn, adrloss, corrupt, all)", name)
+// FaultByName resolves a fault model by its name.
+func FaultByName(name string) (Fault, error) {
+	for _, f := range AllFaults {
+		if f.String() == name {
+			return f, nil
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return 0, fmt.Errorf("crashcampaign: unknown fault %q (have clean, torn, adrloss, corrupt)", name)
+}
+
+// NormalizeFaults returns the fault list a sweep injects: FaultClean, the
+// baseline every sweep needs, then each other listed model once, in
+// campaign order. Local campaigns, cluster workers and the litmus sweep
+// all normalize through it, so they agree on what a list implies.
+func NormalizeFaults(fs []Fault) []Fault {
+	out := []Fault{FaultClean}
+	for _, f := range AllFaults[1:] {
+		if slices.Contains(fs, f) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// ParseFaults parses a comma-separated fault list ("torn,adrloss", or
+// "all") into its normalized form.
+func ParseFaults(s string) ([]Fault, error) {
+	var fs []Fault
+	for _, name := range strings.Split(s, ",") {
+		switch name = strings.TrimSpace(name); name {
+		case "":
+		case "all":
+			fs = append(fs, AllFaults...)
+		default:
+			f, err := FaultByName(name)
+			if err != nil {
+				return nil, err
+			}
+			fs = append(fs, f)
+		}
+	}
+	return NormalizeFaults(fs), nil
 }
 
 // QueuesLost reports whether the fault defeats the platform's ADR drain
@@ -121,9 +127,6 @@ func ExpectSafe(s core.Scheme, f Fault) bool {
 	return s.Ordering().ExpectSafe(f.QueuesLost())
 }
 
-// expectSafe is the internal spelling predating the exported API.
-func expectSafe(s core.Scheme, f Fault) bool { return ExpectSafe(s, f) }
-
 // AppliesTo reports whether injecting the fault into the scheme is
 // meaningful. ADR loss is a no-op for a scheme whose persistency domain
 // never included the queues (QueueDrain false in its ordering rules).
@@ -133,9 +136,6 @@ func (f Fault) AppliesTo(s core.Scheme) bool {
 	}
 	return true
 }
-
-// appliesTo is the internal spelling predating the exported API.
-func (f Fault) appliesTo(s core.Scheme) bool { return f.AppliesTo(s) }
 
 // mix hashes words into a well-distributed 64-bit value (splitmix64
 // finalization). Per-line fault decisions hash (seed, line identity)
@@ -154,9 +154,9 @@ func mix(vals ...uint64) uint64 {
 	return h
 }
 
-// seedFor derives the per-injection fault seed from the campaign seed and
-// the injection's identity.
-func seedFor(campaignSeed int64, parts ...string) uint64 {
+// InjectionSeed derives a deterministic fault seed from a campaign seed
+// and an injection's identity (FNV over the parts).
+func InjectionSeed(campaignSeed int64, parts ...string) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d", campaignSeed)
 	for _, p := range parts {
@@ -166,15 +166,16 @@ func seedFor(campaignSeed int64, parts ...string) uint64 {
 	return h.Sum64()
 }
 
-// injection is one planned fault injection at one crash point.
-type injection struct {
-	fault Fault
-	cycle uint64
-	seed  uint64
-	// mask, when non-nil, restricts the fault to the listed target
-	// indexes (pending-line index for torn, sorted-log-line index for
-	// corrupt). nil faults every target. The minimizer shrinks it.
-	mask []int
+// Injection is one fault injection: a fault model applied at a crash
+// cycle, with the seed that drives its stateless per-line randomness.
+// Mask, when non-nil, restricts the fault to the listed target indexes
+// (pending-line index for torn, sorted-log-line index for corrupt); nil
+// faults every target. The minimizer shrinks it.
+type Injection struct {
+	Fault Fault
+	Cycle uint64
+	Seed  uint64
+	Mask  []int
 }
 
 func maskSet(mask []int) map[int]bool {
@@ -208,32 +209,32 @@ func logLines(img *nvm.Store, threads int) []uint64 {
 	return out
 }
 
-// buildImage extracts the crash image the injection leaves behind.
-func buildImage(sys *core.System, threads int, inj injection) *nvm.Store {
-	switch inj.fault {
-	case FaultClean:
-		return sys.CrashImage()
+// Apply extracts the crash image the injection leaves behind at the
+// system's current state (the caller has stepped it to Cycle). The system
+// is not advanced or mutated.
+func (in Injection) Apply(sys *core.System, threads int) *nvm.Store {
+	switch in.Fault {
 	case FaultADRLoss:
 		return sys.CrashImageWith(memctrl.CrashFault{ADR: false})
 	case FaultTorn:
-		sel := maskSet(inj.mask)
+		sel := maskSet(in.Mask)
 		return sys.CrashImageWith(memctrl.CrashFault{
 			ADR: sys.ADR(),
 			Torn: func(idx int, addr uint64) int {
 				if sel != nil && !sel[idx] {
 					return 8 // not selected: the whole line persists
 				}
-				return tornWords(inj.seed, idx)
+				return tornWords(in.Seed, idx)
 			},
 		})
 	case FaultCorrupt:
 		img := sys.CrashImage()
-		sel := maskSet(inj.mask)
+		sel := maskSet(in.Mask)
 		for i, addr := range logLines(img, threads) {
 			if sel != nil && !sel[i] {
 				continue
 			}
-			bit := mix(inj.seed, 0xC0FF, addr) % (isa.LineSize * 8)
+			bit := mix(in.Seed, 0xC0FF, addr) % (isa.LineSize * 8)
 			line := img.Read(addr, isa.LineSize)
 			line[bit/8] ^= 1 << (bit % 8)
 			img.Write(addr, line)
@@ -243,45 +244,15 @@ func buildImage(sys *core.System, threads int, inj injection) *nvm.Store {
 	return sys.CrashImage()
 }
 
-// maskTargets returns how many targets the injection's fault has at this
-// system state — the universe the minimizer's mask shrink works over.
-func maskTargets(sys *core.System, threads int, f Fault) int {
-	switch f {
+// Targets returns the size of the fault's target universe at the system's
+// current state — the index space a Mask selects from (pending lines for
+// torn, materialized log lines for corrupt, 0 for the rest).
+func (in Injection) Targets(sys *core.System, threads int) int {
+	switch in.Fault {
 	case FaultTorn:
 		return len(sys.PendingLines(sys.ADR()))
 	case FaultCorrupt:
 		return len(logLines(sys.CrashImage(), threads))
 	}
 	return 0
-}
-
-// Injection is an exported fault-application handle for other harnesses
-// (the litmus sweep) that drive their own crash-point schedules through
-// the campaign's fault machinery. Seed feeds the same stateless per-line
-// randomness the campaign uses; Mask, when non-nil, restricts the fault
-// to the listed target indexes exactly as the minimizer's masks do.
-type Injection struct {
-	Fault Fault
-	Seed  uint64
-	Mask  []int
-}
-
-// Apply extracts the crash image the injection leaves behind at the
-// system's current state. The system is not advanced or mutated.
-func (in Injection) Apply(sys *core.System, threads int) *nvm.Store {
-	return buildImage(sys, threads, injection{fault: in.Fault, seed: in.Seed, mask: in.Mask})
-}
-
-// Targets returns the size of the fault's target universe at the system's
-// current state — the index space a Mask selects from (pending lines for
-// torn, materialized log lines for corrupt, 0 for the rest).
-func (in Injection) Targets(sys *core.System, threads int) int {
-	return maskTargets(sys, threads, in.Fault)
-}
-
-// InjectionSeed derives a deterministic per-injection fault seed from a
-// campaign seed and the injection's identity, exactly as the campaign
-// does internally.
-func InjectionSeed(campaignSeed int64, parts ...string) uint64 {
-	return seedFor(campaignSeed, parts...)
 }

@@ -1,9 +1,6 @@
 package crashcampaign
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // shrinkBudget caps predicate evaluations during mask shrinking; the
 // bisection adds at most ~log2(total cycles) more. Fixed so minimization
@@ -17,103 +14,81 @@ func badFor(orig, got Outcome) bool {
 	return got == OutcomeFailed || (orig == OutcomeVulnerable && got == OutcomeVulnerable)
 }
 
-// minimize reduces a failed injection: bisect the crash cycle down to the
-// earliest failing step (with the fault pattern pinned by the original
-// seed), then shrink the fault mask to a small subset that still fails,
-// and — when the campaign has an artifact dir — dump a reproducer.
-func (tc *tupleCtx) minimize(ctx context.Context, r InjectionResult) (*Minimized, error) {
-	fault, err := parseFault(r.Fault)
-	if err != nil {
-		return nil, err
-	}
-	seed := seedFor(tc.camp.Seed, tc.bench.Abbrev(), tc.scheme.String(), fault.String(), fmt.Sprint(r.Cycle))
-	base := injection{fault: fault, cycle: r.Cycle, seed: seed}
-
-	eval := func(inj injection) (bool, error) {
+// Minimize reduces an injection classified orig: it bisects the crash
+// cycle down to the earliest failing step (the injection's seed stays
+// pinned, so the fault pattern is fixed while the crash point moves),
+// shrinks the fault mask to a small subset that still fails, and — when
+// dir is set — dumps the result as a reproducer artifact under dir.
+func (t *Target) Minimize(ctx context.Context, inj Injection, orig Outcome, dir string) (*Minimized, error) {
+	bad := func(c Injection) (bool, error) {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		out, _, err := tc.evaluateAt(inj)
-		if err != nil {
-			return false, err
-		}
-		return badFor(r.Outcome, out), nil
+		out, _, err := t.evaluate(c)
+		return badFor(orig, out), err
+	}
+	at := func(cycle uint64) Injection {
+		return Injection{Fault: inj.Fault, Cycle: cycle, Seed: inj.Seed}
 	}
 
 	// Bisect [0, cycle] for the earliest failing cycle. Cycle 0 (nothing
-	// executed, nothing pending) passes trivially, the original cycle
-	// fails by construction; the search maintains pass(lo) / fail(hi).
-	lo, hi := uint64(0), r.Cycle
-	if bad, err := eval(injection{fault: fault, cycle: 0, seed: seed}); err != nil {
+	// executed, nothing pending) normally passes, the original cycle fails
+	// by construction; the search maintains pass(lo) / fail(hi).
+	lo, hi := uint64(0), inj.Cycle
+	if b, err := bad(at(0)); err != nil {
 		return nil, err
-	} else if bad {
+	} else if b {
 		hi = 0
 	}
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		bad, err := eval(injection{fault: fault, cycle: mid, seed: seed})
+		b, err := bad(at(mid))
 		if err != nil {
 			return nil, err
 		}
-		if bad {
+		if b {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	base.cycle = hi
-
-	m := &Minimized{Cycle: base.cycle, OriginalCycle: r.Cycle}
+	base := at(hi)
+	m := &Minimized{Cycle: hi, OriginalCycle: inj.Cycle}
 
 	// Shrink the fault mask for the fault models that have one.
-	if fault == FaultTorn || fault == FaultCorrupt {
-		n, err := tc.maskTargetsAt(base.cycle, fault)
+	if base.Fault == FaultTorn || base.Fault == FaultCorrupt {
+		sys, err := t.SystemAt(base.Cycle)
 		if err != nil {
 			return nil, err
 		}
-		m.Targets = n
-		if n > 0 {
-			mask, err := tc.shrinkMask(base, r.Outcome, n)
-			if err != nil {
+		m.Targets = base.Targets(sys, t.Sim.Cores)
+		sys.Release()
+		if m.Targets > 0 {
+			if base.Mask, err = shrinkMask(base, m.Targets, bad); err != nil {
 				return nil, err
 			}
-			base.mask = mask
-			m.Mask = mask
+			m.Mask = base.Mask
 		}
 	}
 
 	// Record the failure as it presents at the minimized point.
-	out, detail, err := tc.evaluateAt(base)
+	var err error
+	if dir == "" {
+		m.Outcome, m.Detail, err = t.evaluate(base)
+		return m, err
+	}
+	meta, err := t.WriteArtifact(dir, base, inj.Cycle)
 	if err != nil {
 		return nil, err
 	}
-	m.Outcome, m.Detail = out, detail
-
-	if tc.camp.ArtifactDir != "" {
-		dir, repro, err := tc.writeArtifact(base, r, m)
-		if err != nil {
-			return nil, err
-		}
-		m.Artifact, m.Repro = dir, repro
-	}
+	m.Outcome, m.Detail = meta.Outcome, meta.Detail
+	m.Artifact, m.Repro = meta.Dir, ReplayCommand+meta.Dir
 	return m, nil
-}
-
-// maskTargetsAt replays the tuple to the cycle and counts the fault's
-// mask targets there.
-func (tc *tupleCtx) maskTargetsAt(cycle uint64, fault Fault) (int, error) {
-	sys, err := tc.newSystem()
-	if err != nil {
-		return 0, err
-	}
-	defer sys.Release()
-	stepTo(sys, cycle)
-	return maskTargets(sys, tc.threads, fault), nil
 }
 
 // shrinkMask greedily removes chunks of the [0, n) target mask while the
 // failure persists (a ddmin-style pass with a fixed evaluation budget).
-func (tc *tupleCtx) shrinkMask(base injection, orig Outcome, n int) ([]int, error) {
+func shrinkMask(base Injection, n int, bad func(Injection) (bool, error)) ([]int, error) {
 	mask := make([]int, n)
 	for i := range mask {
 		mask[i] = i
@@ -124,19 +99,18 @@ func (tc *tupleCtx) shrinkMask(base injection, orig Outcome, n int) ([]int, erro
 		chunk := (len(mask) + gran - 1) / gran
 		reduced := false
 		for start := 0; start < len(mask) && budget > 0; start += chunk {
-			end := start + chunk
-			if end > len(mask) {
-				end = len(mask)
-			}
+			end := min(start+chunk, len(mask))
 			cand := make([]int, 0, len(mask)-(end-start))
 			cand = append(cand, mask[:start]...)
 			cand = append(cand, mask[end:]...)
 			budget--
-			out, _, err := tc.evaluateAt(injection{fault: base.fault, cycle: base.cycle, seed: base.seed, mask: cand})
+			c := base
+			c.Mask = cand
+			b, err := bad(c)
 			if err != nil {
 				return nil, err
 			}
-			if badFor(orig, out) {
+			if b {
 				mask = cand
 				if gran > 2 {
 					gran--
@@ -149,21 +123,8 @@ func (tc *tupleCtx) shrinkMask(base injection, orig Outcome, n int) ([]int, erro
 			if gran >= len(mask) {
 				break
 			}
-			gran *= 2
-			if gran > len(mask) {
-				gran = len(mask)
-			}
+			gran = min(gran*2, len(mask))
 		}
 	}
 	return mask, nil
-}
-
-// parseFault maps a fault name back to its model.
-func parseFault(name string) (Fault, error) {
-	for f, n := range faultNames {
-		if n == name {
-			return f, nil
-		}
-	}
-	return 0, fmt.Errorf("crashcampaign: unknown fault %q", name)
 }

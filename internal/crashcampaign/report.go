@@ -35,11 +35,13 @@ type InjectionResult struct {
 	// Detail carries the recovery error or oracle mismatch for non-verified
 	// outcomes.
 	Detail string `json:"detail,omitempty"`
-	// Minimized is attached to failed injections after minimization.
+	// Minimized is attached to failed (and, under MinimizeAll, vulnerable)
+	// injections after minimization.
 	Minimized *Minimized `json:"minimized,omitempty"`
 }
 
-// Minimized describes the reduced reproducer of a failed injection.
+// Minimized describes the reduced reproducer of a failed injection, as
+// Target.Minimize produced it.
 type Minimized struct {
 	// Cycle is the earliest failing crash cycle the bisection found.
 	Cycle uint64 `json:"cycle"`
@@ -53,10 +55,41 @@ type Minimized struct {
 	// Outcome is the failure's classification at the minimized point.
 	Outcome Outcome `json:"outcome"`
 	Detail  string  `json:"detail,omitempty"`
-	// Artifact is the reproducer directory (empty when the campaign ran
+	// Artifact is the reproducer directory (empty when the sweep ran
 	// without an artifact dir); Repro is the ready-to-run replay command.
 	Artifact string `json:"artifact,omitempty"`
 	Repro    string `json:"repro,omitempty"`
+}
+
+// Tally counts injections by outcome. Campaign and litmus reports embed
+// it at the same position, so both encode the counts identically.
+type Tally struct {
+	Verified   int `json:"verified"`
+	Detected   int `json:"detected"`
+	Vulnerable int `json:"vulnerable"`
+	Failed     int `json:"failed"`
+}
+
+// Count tallies one outcome.
+func (t *Tally) Count(o Outcome) {
+	switch o {
+	case OutcomeVerified:
+		t.Verified++
+	case OutcomeDetected:
+		t.Detected++
+	case OutcomeVulnerable:
+		t.Vulnerable++
+	case OutcomeFailed:
+		t.Failed++
+	}
+}
+
+// Add accumulates another tally.
+func (t *Tally) Add(u Tally) {
+	t.Verified += u.Verified
+	t.Detected += u.Detected
+	t.Vulnerable += u.Vulnerable
+	t.Failed += u.Failed
 }
 
 // TupleReport is the sweep result for one (benchmark, scheme) pair.
@@ -67,21 +100,15 @@ type TupleReport struct {
 	TotalCycles uint64            `json:"total_cycles"`
 	Points      []uint64          `json:"points"`
 	Injections  []InjectionResult `json:"injections"`
-	Verified    int               `json:"verified"`
-	Detected    int               `json:"detected"`
-	Vulnerable  int               `json:"vulnerable"`
-	Failed      int               `json:"failed"`
+	Tally
 }
 
 // Totals aggregates the campaign.
 type Totals struct {
 	Tuples     int `json:"tuples"`
 	Injections int `json:"injections"`
-	Verified   int `json:"verified"`
-	Detected   int `json:"detected"`
-	Vulnerable int `json:"vulnerable"`
-	Failed     int `json:"failed"`
-	Minimized  int `json:"minimized"`
+	Tally
+	Minimized int `json:"minimized"`
 }
 
 // Info records the campaign's inputs so a report is self-describing.
@@ -113,18 +140,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// count tallies an outcome into the tuple report.
-func (t *TupleReport) count(o Outcome) {
-	switch o {
-	case OutcomeVerified:
-		t.Verified++
-	case OutcomeDetected:
-		t.Detected++
-	case OutcomeVulnerable:
-		t.Vulnerable++
-	case OutcomeFailed:
-		t.Failed++
-	}
 }

@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/crashcampaign"
 	"repro/internal/nvm"
-	"repro/internal/recovery"
 )
 
 // modelStates computes, from the program AST alone (deliberately not
@@ -32,39 +30,33 @@ func modelStates(p Program, t int) [][2]uint64 {
 // checker evaluates recovered images of one compiled (program, scheme)
 // pair against the scheme's ordering axioms.
 type checker struct {
-	prog   Program
-	scheme core.Scheme
-	rules  core.OrderingRules
-	addrs  [][2]uint64
+	commitLag int
+	addrs     [][2]uint64
 	// states[t][m] is thread t's model state after m whole transactions.
 	states [][][2]uint64
 }
 
 func newChecker(c *Compiled, scheme core.Scheme) *checker {
-	ck := &checker{
-		prog:   c.Prog,
-		scheme: scheme,
-		rules:  scheme.Ordering(),
-		addrs:  c.Addrs,
-	}
+	ck := &checker{commitLag: scheme.Ordering().CommitLag, addrs: c.Addrs}
 	for t := range c.Prog.Threads {
 		ck.states = append(ck.states, modelStates(c.Prog, t))
 	}
 	return ck
 }
 
-// permitted checks the recovered image against the axioms: for every
-// thread t the recovered variable values must equal the model state
-// after m whole transactions for some m in [committed[t],
-// committed[t]+CommitLag] (clamped to the thread's transaction count) —
-// transaction atomicity plus the declared commit lag, checked exactly.
-// Threads own disjoint variables, so each is checked independently. The
-// returned detail describes the first violation.
+// permitted is the litmus targets' Expectation: it checks the recovered
+// image against the axioms. For every thread t the recovered variable
+// values must equal the model state after m whole transactions for some
+// m in [committed[t], committed[t]+CommitLag] (clamped to the thread's
+// transaction count) — transaction atomicity plus the declared commit
+// lag, checked exactly. Threads own disjoint variables, so each is
+// checked independently. The returned error describes the first
+// violation.
 func (ck *checker) permitted(img *nvm.Store, committed []int) error {
 	for t := range ck.states {
 		got := [2]uint64{img.ReadUint64(ck.addrs[t][0]), img.ReadUint64(ck.addrs[t][1])}
 		lo := committed[t]
-		hi := lo + ck.rules.CommitLag
+		hi := lo + ck.commitLag
 		if max := len(ck.states[t]) - 1; hi > max {
 			hi = max
 		}
@@ -93,38 +85,4 @@ func (ck *checker) describe(t int) string {
 		fmt.Fprintf(&b, "m=%d:(%#x,%#x)", m, st[0], st[1])
 	}
 	return b.String()
-}
-
-// classify runs the scheme's recovery over the crash image and maps the
-// axiomatic membership check through the expectation matrix, mirroring
-// the crash campaign's outcome taxonomy: Failed marks a divergence
-// between the simulator+recovery and the declared axioms.
-func (ck *checker) classify(img *nvm.Store, fault crashcampaign.Fault, committed []int) (crashcampaign.Outcome, string) {
-	threads := len(ck.prog.Threads)
-	_, rerr := recovery.Recover(img, ck.scheme, threads)
-	if rerr != nil {
-		if !recovery.IsDetectedCorruption(rerr) {
-			return crashcampaign.OutcomeFailed, "recovery error: " + rerr.Error()
-		}
-		if fault == crashcampaign.FaultClean || crashcampaign.ExpectSafe(ck.scheme, fault) {
-			return crashcampaign.OutcomeFailed, "corruption detected in expected-safe run: " + rerr.Error()
-		}
-		if !ck.rules.DetectsCorruption {
-			return crashcampaign.OutcomeFailed, "scheme declares no corruption detection yet reported: " + rerr.Error()
-		}
-		return crashcampaign.OutcomeDetected, rerr.Error()
-	}
-	if err := ck.permitted(img, committed); err != nil {
-		switch {
-		case crashcampaign.ExpectSafe(ck.scheme, fault):
-			return crashcampaign.OutcomeFailed, err.Error()
-		case fault == crashcampaign.FaultCorrupt && ck.scheme.FailureSafe():
-			// Recovery silently accepted a corrupted log: the outcome the
-			// DetectsCorruption axiom forbids.
-			return crashcampaign.OutcomeFailed, "silent corruption accepted: " + err.Error()
-		default:
-			return crashcampaign.OutcomeVulnerable, err.Error()
-		}
-	}
-	return crashcampaign.OutcomeVerified, ""
 }

@@ -3,6 +3,8 @@ package litmus
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -45,8 +47,12 @@ func TestReportBytesAreDeterministic(t *testing.T) {
 	}
 }
 
+// fullGrammarSHA256 is the digest of the full-grammar report at seed 0
+// (proteus-litmus -programs all -faults all -seed 0).
+const fullGrammarSHA256 = "384ad911587e38c9bdb8418aadd804324925a3eeaf273b520f12ab39d6493868"
+
 // The full grammar must also sweep clean; this is the slow exhaustive
-// pass behind the curated gate.
+// pass behind the curated gate. Its report bytes are pinned by digest.
 func TestFullGrammarSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 398-program sweep skipped in -short mode")
@@ -57,6 +63,13 @@ func TestFullGrammarSweep(t *testing.T) {
 	}
 	if rep.Suite.Programs != 398 {
 		t.Fatalf("swept %d programs, want the full 398-program grammar", rep.Suite.Programs)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); sum != fullGrammarSHA256 {
+		t.Errorf("full-grammar report digest %s, want %s", sum, fullGrammarSHA256)
 	}
 	if rep.Totals.Failed != 0 || rep.Totals.Divergences != 0 {
 		for _, c := range rep.Cases {

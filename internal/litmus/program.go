@@ -6,9 +6,11 @@
 // of every run under the crash campaign's fault models, and checks each
 // recovered image against the exact set of post-crash states the
 // scheme's declared ordering axioms (core.OrderingRules) permit. Any
-// divergence is a bug in the simulator, the recovery path, or the axioms;
-// the harness reports it with the earliest divergent cycle, a shrunken
-// fault mask, and a replayable reproducer artifact.
+// divergence is a bug in the simulator, the recovery path, or the axioms.
+// Each compiled (program, scheme) case is a crashcampaign.Target judged by
+// the axioms, so a divergence is classified, minimized (crash cycle
+// bisected, fault mask shrunk) and dumped as a reproducer exactly like a
+// campaign failure, and replays through the same command.
 //
 // Everything the harness computes is deterministic in (config, seed): the
 // report bytes are identical at any worker count and under either cycle
@@ -19,6 +21,8 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
+	"repro/internal/crashcampaign"
 	"repro/internal/heap"
 	"repro/internal/isa"
 	"repro/internal/nvm"
@@ -236,6 +240,14 @@ func (p Program) Compile() (*Compiled, error) {
 		Heaps:     heaps,
 	}
 	return &Compiled{Prog: p, WL: wl, Addrs: addrs}, nil
+}
+
+// Target binds the compiled program to the scheme on the litmus machine
+// (SimConfig), judged by the scheme's ordering axioms: the crash-campaign
+// Target the sweep classifies, minimizes and replays through.
+func (c *Compiled) Target(scheme core.Scheme) (*crashcampaign.Target, error) {
+	return crashcampaign.NewTarget(c.Prog.Name(), scheme, SimConfig(len(c.Prog.Threads)), c.WL,
+		newChecker(c, scheme).permitted)
 }
 
 // txnLines returns the distinct cache lines the transaction's stores

@@ -8,26 +8,13 @@ import (
 )
 
 // Divergence is one simulator/axiom disagreement: an injection the
-// expectation matrix classified as failed. Only the earliest divergent
-// cycle per (case, fault) is recorded in full (with its shrunken mask
-// and reproducer); later cycles of the same fault are tallied in the
-// case counters.
+// expectation matrix classified as failed. The first one per (case,
+// fault) — the sweep visits states in cycle order — is minimized like a
+// campaign failure (OriginalCycle is where the sweep hit it); later
+// cycles of the same fault are tallied in the case counters.
 type Divergence struct {
 	Fault string `json:"fault"`
-	// Cycle is the earliest cycle whose persist state diverges — the
-	// sweep classifies states in cycle order, so the first hit is the
-	// minimum.
-	Cycle  uint64 `json:"cycle"`
-	Detail string `json:"detail,omitempty"`
-	// Targets is the fault's target universe size at the divergent cycle;
-	// Mask is the shrunken subset that still diverges (absent for faults
-	// without a mask).
-	Targets int   `json:"targets,omitempty"`
-	Mask    []int `json:"mask,omitempty"`
-	// Artifact is the reproducer directory (when the sweep ran with one);
-	// Repro is the ready-to-run replay command.
-	Artifact string `json:"artifact,omitempty"`
-	Repro    string `json:"repro,omitempty"`
+	crashcampaign.Minimized
 }
 
 // CaseReport is the sweep result for one (program, scheme) pair.
@@ -37,38 +24,18 @@ type CaseReport struct {
 	// TotalCycles is the full run length; States counts the distinct
 	// persist states the sweep classified (the representatives of the
 	// per-cycle signature dedup).
-	TotalCycles uint64       `json:"total_cycles"`
-	States      int          `json:"states"`
-	Injections  int          `json:"injections"`
-	Verified    int          `json:"verified"`
-	Detected    int          `json:"detected"`
-	Vulnerable  int          `json:"vulnerable"`
-	Failed      int          `json:"failed"`
+	TotalCycles uint64 `json:"total_cycles"`
+	States      int    `json:"states"`
+	Injections  int    `json:"injections"`
+	crashcampaign.Tally
 	Divergences []Divergence `json:"divergences,omitempty"`
-}
-
-func (c *CaseReport) count(o crashcampaign.Outcome) {
-	c.Injections++
-	switch o {
-	case crashcampaign.OutcomeVerified:
-		c.Verified++
-	case crashcampaign.OutcomeDetected:
-		c.Detected++
-	case crashcampaign.OutcomeVulnerable:
-		c.Vulnerable++
-	case crashcampaign.OutcomeFailed:
-		c.Failed++
-	}
 }
 
 // Totals aggregates the suite.
 type Totals struct {
-	Cases       int `json:"cases"`
-	Injections  int `json:"injections"`
-	Verified    int `json:"verified"`
-	Detected    int `json:"detected"`
-	Vulnerable  int `json:"vulnerable"`
-	Failed      int `json:"failed"`
+	Cases      int `json:"cases"`
+	Injections int `json:"injections"`
+	crashcampaign.Tally
 	Divergences int `json:"divergences"`
 }
 

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/crashcampaign"
-	"repro/internal/logging"
 )
 
 // Config configures a litmus sweep.
@@ -32,9 +30,6 @@ type Config struct {
 	// ArtifactDir, when set, receives one reproducer directory per
 	// divergence.
 	ArtifactDir string
-	// ReplayCmd names the replay binary in generated repro command lines;
-	// empty means "proteus-litmus".
-	ReplayCmd string
 }
 
 func (c *Config) fill() {
@@ -42,31 +37,15 @@ func (c *Config) fill() {
 		c.Programs = Enumerate()
 	}
 	if len(c.Schemes) == 0 {
-		for _, s := range core.Schemes {
-			if s.FailureSafe() {
-				c.Schemes = append(c.Schemes, s)
-			}
-		}
+		c.Schemes = core.FailureSafeSchemes()
 	}
 	if len(c.Faults) == 0 {
 		c.Faults = crashcampaign.AllFaults
 	} else {
-		seen := map[crashcampaign.Fault]bool{crashcampaign.FaultClean: true}
-		faults := []crashcampaign.Fault{crashcampaign.FaultClean}
-		for _, f := range c.Faults {
-			if !seen[f] {
-				seen[f] = true
-				faults = append(faults, f)
-			}
-		}
-		sort.Slice(faults, func(i, j int) bool { return faults[i] < faults[j] })
-		c.Faults = faults
+		c.Faults = crashcampaign.NormalizeFaults(c.Faults)
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ReplayCmd == "" {
-		c.ReplayCmd = "proteus-litmus"
 	}
 }
 
@@ -115,7 +94,7 @@ func Run(ctx context.Context, c Config) (*Report, error) {
 				errs[i] = ctx.Err()
 				return
 			}
-			results[i], errs[i] = runCase(&c, k.prog, k.scheme)
+			results[i], errs[i] = runCase(ctx, &c, k.prog, k.scheme)
 		}(i, k)
 	}
 	wg.Wait()
@@ -146,10 +125,7 @@ func Run(ctx context.Context, c Config) (*Report, error) {
 		cr := &rep.Cases[i]
 		rep.Totals.Cases++
 		rep.Totals.Injections += cr.Injections
-		rep.Totals.Verified += cr.Verified
-		rep.Totals.Detected += cr.Detected
-		rep.Totals.Vulnerable += cr.Vulnerable
-		rep.Totals.Failed += cr.Failed
+		rep.Totals.Add(cr.Tally)
 		rep.Totals.Divergences += len(cr.Divergences)
 	}
 	return rep, nil
@@ -165,100 +141,61 @@ type persistKey struct {
 	committed [2]int
 }
 
-// runCase sweeps one (program, scheme) pair: compile, generate the
-// scheme's trace, then single-step the machine from cycle 1 to
-// completion, classifying every applicable fault at each distinct
-// persist state.
-func runCase(c *Config, prog Program, scheme core.Scheme) (CaseReport, error) {
+// runCase sweeps one (program, scheme) pair: compile it into a Target,
+// then single-step the machine from cycle 1 to completion, classifying
+// every applicable fault at each distinct persist state and minimizing
+// the first divergence per fault.
+func runCase(ctx context.Context, c *Config, prog Program, scheme core.Scheme) (CaseReport, error) {
 	cr := CaseReport{Program: prog.Name(), Scheme: scheme.String()}
 	compiled, err := prog.Compile()
 	if err != nil {
 		return cr, err
 	}
-	threads := len(prog.Threads)
-	cfg := SimConfig(threads)
-	traces, err := logging.Generate(compiled.WL, scheme, cfg)
+	tgt, err := compiled.Target(scheme)
 	if err != nil {
 		return cr, err
 	}
-	ck := newChecker(compiled, scheme)
-	sys, err := core.NewSystem(cfg, scheme, traces, compiled.WL.InitImage)
+	tgt.Seed, tgt.Stepper = c.Seed, c.Stepper
+	sys, err := tgt.NewSystem()
 	if err != nil {
 		return cr, err
 	}
 	defer sys.Release()
-	sys.SetStepper(c.Stepper)
 
-	// firstDiv remembers which faults already produced their minimized
-	// earliest divergence for this case.
-	firstDiv := make(map[crashcampaign.Fault]bool)
+	var faults []crashcampaign.Fault
+	for _, f := range c.Faults {
+		if f.AppliesTo(scheme) {
+			faults = append(faults, f)
+		}
+	}
+	diverged := make(map[crashcampaign.Fault]bool)
 	seen := make(map[persistKey]bool)
 	for !sys.Finished() {
 		sys.Step(1)
+		committed := sys.CommittedCounts()
 		key := persistKey{sig: sys.PersistSig()}
-		for t, n := range sys.CommittedCounts() {
-			key.committed[t] = n
-		}
+		copy(key.committed[:], committed)
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		if err := classifyState(c, &cr, ck, sys, compiled, firstDiv); err != nil {
-			return cr, err
+		for _, f := range faults {
+			inj := tgt.Injection(f, sys.Cycle())
+			out, _ := tgt.Classify(inj.Apply(sys, tgt.Sim.Cores), f, committed)
+			cr.Injections++
+			cr.Count(out)
+			if out != crashcampaign.OutcomeFailed || diverged[f] {
+				continue
+			}
+			diverged[f] = true
+			m, err := tgt.Minimize(ctx, inj, out, c.ArtifactDir)
+			if err != nil {
+				return cr, err
+			}
+			cr.Divergences = append(cr.Divergences, Divergence{Fault: f.String(), Minimized: *m})
 		}
 	}
 	cr.TotalCycles = sys.Cycle()
 	cr.States = len(seen)
 	return cr, nil
-}
-
-// classifyState evaluates every applicable fault at the system's current
-// state, counting outcomes and recording (minimizing, dumping) the first
-// divergence per fault.
-func classifyState(c *Config, cr *CaseReport, ck *checker, sys *core.System, compiled *Compiled, firstDiv map[crashcampaign.Fault]bool) error {
-	threads := len(compiled.Prog.Threads)
-	committed := sys.CommittedCounts()
-	cycle := sys.Cycle()
-	for _, f := range c.Faults {
-		if !f.AppliesTo(ck.scheme) {
-			continue
-		}
-		inj := crashcampaign.Injection{
-			Fault: f,
-			Seed: crashcampaign.InjectionSeed(c.Seed,
-				cr.Program, cr.Scheme, f.String(), fmt.Sprint(cycle)),
-		}
-		outcome, detail := ck.classify(inj.Apply(sys, threads), f, committed)
-		cr.count(outcome)
-		if outcome != crashcampaign.OutcomeFailed || firstDiv[f] {
-			continue
-		}
-		firstDiv[f] = true
-		div := Divergence{Fault: f.String(), Cycle: cycle, Detail: detail}
-		div.Targets = inj.Targets(sys, threads)
-		// Shrink the fault mask to a single target when one suffices: the
-		// masks are tiny (pending lines / log lines of a 2–4 store
-		// program), so a linear scan is exhaustive.
-		if div.Targets > 1 {
-			for i := 0; i < div.Targets; i++ {
-				one := inj
-				one.Mask = []int{i}
-				if o, d := ck.classify(one.Apply(sys, threads), f, committed); o == crashcampaign.OutcomeFailed {
-					inj = one
-					div.Mask = one.Mask
-					div.Detail = d
-					break
-				}
-			}
-		}
-		if c.ArtifactDir != "" {
-			dir, repro, err := writeArtifact(c, ck, compiled, sys, inj, cycle, committed, outcome, div.Detail)
-			if err != nil {
-				return err
-			}
-			div.Artifact, div.Repro = dir, repro
-		}
-		cr.Divergences = append(cr.Divergences, div)
-	}
-	return nil
 }

@@ -2,12 +2,10 @@ package litmus
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/crashcampaign"
-	"repro/internal/logging"
 )
 
 // The curated subset is the CI gate: every failure-safe scheme, every
@@ -101,6 +99,9 @@ func TestCheckerRejectsImpossibleState(t *testing.T) {
 	}
 }
 
+// A litmus injection dumped as an artifact must replay from its meta
+// alone: the program is rebuilt from its name, re-simulated to the crash
+// cycle, and yields the stored image and the recorded outcome.
 func TestArtifactReplayRoundtrip(t *testing.T) {
 	p, err := Parse("Pc:x;y")
 	if err != nil {
@@ -110,43 +111,51 @@ func TestArtifactReplayRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheme := core.Proteus
-	cfg := SimConfig(1)
-	traces, err := logging.Generate(compiled.WL, scheme, cfg)
+	tgt, err := compiled.Target(core.Proteus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.NewSystem(cfg, scheme, traces, compiled.WL.InitImage)
+	tgt.Seed = 7
+	sys, err := tgt.NewSystem()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for !sys.Finished() {
 		sys.Step(10000)
 	}
-	conf := &Config{ArtifactDir: t.TempDir(), ReplayCmd: "proteus-litmus"}
-	ck := newChecker(compiled, scheme)
-	inj := crashcampaign.Injection{
-		Fault: crashcampaign.FaultTorn,
-		Seed:  crashcampaign.InjectionSeed(7, "roundtrip"),
-	}
-	committed := sys.CommittedCounts()
-	outcome, detail := ck.classify(inj.Apply(sys, 1), inj.Fault, committed)
-	dir, repro, err := writeArtifact(conf, ck, compiled, sys, inj, sys.Cycle(), committed, outcome, detail)
+	mid := sys.Cycle() / 2
+	sys.Release()
+	inj := tgt.Injection(crashcampaign.FaultTorn, mid)
+	meta, err := tgt.WriteArtifact(t.TempDir(), inj, mid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(repro, "proteus-litmus -replay ") {
-		t.Fatalf("repro command %q lacks the replay invocation", repro)
-	}
-	res, err := Replay(dir)
+
+	a, err := crashcampaign.LoadArtifact(meta.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Reproduced {
-		t.Fatalf("replay classified %s (%s), sweep recorded %s (%s)", res.Outcome, res.Detail, outcome, detail)
+	if a.Meta.Source != p.Name() || a.Meta.Scheme != core.Proteus.String() || a.Meta.Fault != "torn" || a.Meta.Cycle != mid {
+		t.Fatalf("artifact meta mismatch: %+v", a.Meta)
 	}
-	if res.Meta.Program != p.Name() || res.Meta.Scheme != scheme.String() || res.Meta.Fault != inj.Fault.String() {
-		t.Fatalf("artifact meta mismatch: %+v", res.Meta)
+	rp, err := Parse(a.Meta.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := rp.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := rc.Target(core.Proteus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rebuilt.Replay(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.ImageMatches || !res.Reproduced {
+		t.Fatalf("replay: image matches %v, classified %s (%s), recorded %s", res.ImageMatches, res.Outcome, res.Detail, a.Meta.Outcome)
 	}
 }
 

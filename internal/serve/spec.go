@@ -158,9 +158,7 @@ func compile(s Spec) (*job, error) {
 			j.opts.Seed = s.Seed
 		}
 	case "campaign":
-		benches, err := splitParse(defaultStr(s.Benches, "QE"), func(n string) (workload.Kind, error) {
-			return workload.KindByName(n)
-		})
+		benches, err := splitParse(defaultStr(s.Benches, "QE"), workload.KindByName)
 		if err != nil {
 			return nil, err
 		}
