@@ -41,7 +41,7 @@ func main() {
 		randPts    = flag.Int("rand", 0, "additional seeded-random crash points per tuple")
 		faultsArg  = flag.String("faults", "clean", "fault models to inject: clean, torn, adrloss, corrupt, all (clean is always included)")
 		jobs       = flag.Int("jobs", 0, "concurrent simulation jobs (0 = GOMAXPROCS)")
-		jobTimeout = flag.Duration("timeout", 10*time.Minute, "wall-clock limit per sweep chunk (0 = none)")
+		jobTimeout = flag.Duration("timeout", 10*time.Minute, "wall-clock limit per tuple sweep (0 = none)")
 		out        = flag.String("out", "report.json", "report destination (- = stdout)")
 		artifacts  = flag.String("artifacts", "", "dump minimized-failure reproducers into this directory")
 		minimize   = flag.String("minimize", "failed", "which outcomes to minimize: failed, all, off")

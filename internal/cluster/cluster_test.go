@@ -268,6 +268,55 @@ func TestClusterMatchesLocalWhenFaultsOmitClean(t *testing.T) {
 	}
 }
 
+// TestWorkerRunsLeaseConcurrently: a worker runs the items of one lease
+// at once, so a lease of tuples fills its engine's slots instead of
+// sweeping one tuple at a time. Each simulation start waits (up to a
+// second) for a second one, so the overlap does not depend on timing.
+func TestWorkerRunsLeaseConcurrently(t *testing.T) {
+	var mu sync.Mutex
+	inflight, peak := 0, 0
+	second := make(chan struct{})
+	w := newTestWorker("solo", "", 4)
+	w.Engine = engine.New(engine.Config{Workers: 2, Progress: func(ev engine.Event) {
+		mu.Lock()
+		switch ev.Phase {
+		case engine.JobStart:
+			inflight++
+			if inflight > peak {
+				peak = inflight
+				if peak == 2 {
+					close(second)
+				}
+			}
+		case engine.JobDone:
+			inflight--
+		}
+		mu.Unlock()
+		if ev.Phase == engine.JobStart {
+			select {
+			case <-second:
+			case <-time.After(time.Second):
+			}
+		}
+	}})
+
+	co := NewCoordinator(Config{LeaseTTL: 5 * time.Second})
+	ts := mountCoordinator(t, co)
+	w.Coordinator = ts.URL
+	stop := startWorker(t, w)
+	defer stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	if _, err := RunCampaign(ctx, co, testCampaign()); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if peak < 2 {
+		t.Fatalf("at most %d simulation ran at once on a 2-slot worker leasing 4 tuples", peak)
+	}
+}
+
 // TestQuarantinePoisonedItem: an item that fails every attempt must burn
 // its retry budget and surface ErrQuarantined to the waiter instead of
 // looping forever.

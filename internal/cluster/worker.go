@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -286,7 +287,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// runBatch executes one leased batch under a heartbeat.
+// runBatch executes one leased batch under a heartbeat. The items run
+// concurrently and the engine's worker pool bounds the work, so a batch
+// of crash-campaign tuples (each sweeps in one engine slot) fills as many
+// slots as it has tuples. Completions are reported one at a time.
 func (w *Worker) runBatch(ctx context.Context, items []Item) {
 	ids := make([]string, len(items))
 	for i, it := range items {
@@ -303,32 +307,38 @@ func (w *Worker) runBatch(ctx context.Context, items []Item) {
 		<-hbDone
 	}()
 
+	var wg sync.WaitGroup
+	var reporting sync.Mutex
 	for _, it := range items {
-		if ctx.Err() != nil {
-			return
-		}
-		result, err := executeItem(ctx, w.Engine, it)
-		if ctx.Err() != nil {
-			// Shutting down mid-item: do not report a spurious failure;
-			// the lease will expire and the item will be re-run.
-			return
-		}
-		req := completeRequest{Worker: w.Name, ID: it.ID, Result: result}
-		if err != nil {
-			req.Result = nil
-			req.Error = err.Error()
-		} else if stamp, serr := StampCompletion(it.Kind, it.Payload, result); serr == nil {
-			// Every successful completion is stamped; a coordinator
-			// running without verification simply ignores it.
-			req.Stamp = stamp
-		}
-		var resp completeResponse
-		if perr := w.post(ctx, "/complete", req, &resp); perr != nil {
-			w.log().Warn("complete failed", "item", it.ID, "err", perr.Error())
-			continue
-		}
-		w.log().Info("completed", "item", it.ID, "accepted", resp.Accepted, "failed", err != nil)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			result, err := executeItem(ctx, w.Engine, it)
+			if ctx.Err() != nil {
+				// Shutting down mid-item: do not report a spurious failure;
+				// the lease will expire and the item will be re-run.
+				return
+			}
+			req := completeRequest{Worker: w.Name, ID: it.ID, Result: result}
+			if err != nil {
+				req.Result = nil
+				req.Error = err.Error()
+			} else if stamp, serr := StampCompletion(it.Kind, it.Payload, result); serr == nil {
+				// Every successful completion is stamped; a coordinator
+				// running without verification simply ignores it.
+				req.Stamp = stamp
+			}
+			reporting.Lock()
+			defer reporting.Unlock()
+			var resp completeResponse
+			if perr := w.post(ctx, "/complete", req, &resp); perr != nil {
+				w.log().Warn("complete failed", "item", it.ID, "err", perr.Error())
+				return
+			}
+			w.log().Info("completed", "item", it.ID, "accepted", resp.Accepted, "failed", err != nil)
+		}()
 	}
+	wg.Wait()
 }
 
 // heartbeat extends the batch's leases every heartbeatEvery until ctx is

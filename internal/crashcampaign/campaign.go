@@ -9,14 +9,9 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/nvm"
 	"repro/internal/workload"
 )
-
-// chunkPoints is how many crash points one engine.Do slot walks with a
-// single replayed System. The size is fixed (never derived from the
-// worker count) so the chunk boundaries — and with them every simulation
-// — are identical at any parallelism.
-const chunkPoints = 8
 
 // MinimizeMode selects which outcomes get minimized.
 type MinimizeMode int
@@ -59,7 +54,8 @@ type Config struct {
 	ArtifactDir string
 	// Engine executes all simulation work: the full-length reference runs
 	// (memoized jobs shared with any experiments on the same engine) and
-	// the sweep chunks (bounded by the same worker pool).
+	// one forward sweep per tuple (bounded by the same worker pool; its
+	// JobTimeout limits each tuple sweep).
 	Engine *engine.Engine
 	// Stepper selects the cycle-advance strategy for the sweep systems
 	// (the zero value is the event-driven fast stepper). The full-length
@@ -195,7 +191,9 @@ func RunTuple(ctx context.Context, c Config, bench workload.Kind, scheme core.Sc
 	return runTuple(ctx, &c, bench, scheme)
 }
 
-// runTuple sweeps one (bench, scheme) pair.
+// runTuple sweeps one (bench, scheme) pair: after the memoized reference
+// run fixes the crash points, one worker slot builds the target and walks
+// a single machine forward through every point.
 func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.Scheme) (*TupleReport, error) {
 	eng := c.Engine
 	wl, err := eng.Workload(ctx, bench, c.Params)
@@ -207,11 +205,6 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 	if err != nil {
 		return nil, fmt.Errorf("crashcampaign: %v/%v reference run: %w", bench, scheme, err)
 	}
-	tgt, err := NewTarget(bench.Abbrev(), scheme, c.Sim, wl, OracleExpectation(wl, scheme))
-	if err != nil {
-		return nil, fmt.Errorf("crashcampaign: %v/%v: %w", bench, scheme, err)
-	}
-	tgt.Seed, tgt.Stepper = c.Seed, c.Stepper
 
 	total := full.Report.Cycles
 	points := crashPoints(total, c.Sweep, c.Rand,
@@ -224,61 +217,35 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 	}
 
 	results := make([]InjectionResult, len(points)*len(faults))
-	var wg sync.WaitGroup
-	errCh := make(chan error, 1)
-	fail := func(err error) {
-		select {
-		case errCh <- err:
-		default:
+	var tgt *Target
+	err = eng.Do(ctx, func(ctx context.Context) error {
+		// Built inside the slot, so at most Workers targets (traces plus
+		// oracle) are alive at once.
+		var err error
+		tgt, err = NewTarget(bench.Abbrev(), scheme, c.Sim, wl, OracleExpectation(wl, scheme))
+		if err != nil {
+			return err
 		}
-	}
-	for lo := 0; lo < len(points); lo += chunkPoints {
-		hi := lo + chunkPoints
-		if hi > len(points) {
-			hi = len(points)
-		}
-		lo, hi := lo, hi
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := eng.Do(ctx, func(ctx context.Context) error {
-				sys, err := tgt.NewSystem()
-				if err != nil {
-					return err
-				}
-				defer sys.Release()
-				for pi := lo; pi < hi; pi++ {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					stepTo(sys, points[pi])
-					committed := sys.CommittedCounts()
-					for fi, f := range faults {
-						inj := tgt.Injection(f, points[pi])
-						out, detail := tgt.Classify(inj.Apply(sys, c.Sim.Cores), f, committed)
-						results[pi*len(faults)+fi] = InjectionResult{
-							Cycle: points[pi], Fault: f.String(),
-							Outcome: out, Detail: detail,
-						}
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				fail(fmt.Errorf("crashcampaign: %v/%v points[%d:%d]: %w", bench, scheme, lo, hi, err))
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
+		tgt.Seed, tgt.Stepper = c.Seed, c.Stepper
+		return tgt.sweep(ctx, points, faults, func(i int, inj Injection, img *nvm.Store, committed []int) {
+			out, detail := tgt.Classify(img, inj.Fault, committed)
+			results[i] = InjectionResult{Cycle: inj.Cycle, Fault: inj.Fault.String(), Outcome: out, Detail: detail}
+		})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("crashcampaign: %v/%v: %w", bench, scheme, err)
 	}
 
 	// Minimize failures (and, if asked, vulnerabilities) in parallel;
 	// each minimization is self-contained and lands at a fixed index.
 	if c.Minimize != MinimizeOff {
+		errCh := make(chan error, 1)
+		fail := func(err error) {
+			select {
+			case errCh <- err:
+			default:
+			}
+		}
 		var mwg sync.WaitGroup
 		for i := range results {
 			r := &results[i]

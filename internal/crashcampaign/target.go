@@ -1,6 +1,7 @@
 package crashcampaign
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/config"
@@ -91,6 +92,31 @@ func (t *Target) SystemAt(cycle uint64) (*core.System, error) {
 	}
 	stepTo(sys, cycle)
 	return sys, nil
+}
+
+// sweep walks one machine forward through the ascending crash points and
+// calls judge with every injection's crash image, indexed point-major
+// (point index × len(faults) + fault index), and the per-thread committed
+// counts there. An image is valid only during its judge call: the next
+// step writes the machine's store and ends the fork (nvm.Store.Fork).
+func (t *Target) sweep(ctx context.Context, points []uint64, faults []Fault, judge func(i int, inj Injection, img *nvm.Store, committed []int)) error {
+	sys, err := t.NewSystem()
+	if err != nil {
+		return err
+	}
+	defer sys.Release()
+	for pi, cycle := range points {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		stepTo(sys, cycle)
+		committed := sys.CommittedCounts()
+		for fi, f := range faults {
+			inj := t.Injection(f, cycle)
+			judge(pi*len(faults)+fi, inj, inj.Apply(sys, t.Sim.Cores), committed)
+		}
+	}
+	return nil
 }
 
 // stepTo advances the system to the cycle (or the end of the run).

@@ -127,7 +127,7 @@ type Event struct {
 	Job     Job
 	Phase   Phase
 	Err     error
-	Elapsed time.Duration // set on JobDone
+	Elapsed time.Duration // set on JobDone; excludes the wait for a worker slot
 }
 
 // ResultStore persists successful results across processes. The engine
@@ -197,7 +197,8 @@ type JobMetric struct {
 	Fingerprint string `json:"fingerprint"`
 	// Cycles is the simulated cycle count of the run (0 on failure).
 	Cycles uint64 `json:"cycles"`
-	// Wall is the wall-clock duration of the simulation.
+	// Wall is the wall-clock duration of the simulation, from the moment
+	// it holds a worker slot (queueing for one is excluded).
 	Wall time.Duration `json:"wall_ns"`
 	// Err is the failure message, empty for a successful run.
 	Err string `json:"err,omitempty"`
@@ -335,9 +336,7 @@ func (e *Engine) Run(ctx context.Context, j Job) (*Result, error) {
 		}
 	}
 
-	start := time.Now()
-	res, err := e.simulate(ctx, j)
-	elapsed := time.Since(start)
+	res, elapsed, err := e.simulate(ctx, j)
 	if err != nil && !errors.Is(err, ErrJobTimeout) &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		// Cancellation is a property of this invocation, not of the job:
@@ -388,14 +387,16 @@ func (e *Engine) RunAll(ctx context.Context, jobs []Job) error {
 	return nil
 }
 
-// simulate executes one job on a worker slot.
-func (e *Engine) simulate(parent context.Context, j Job) (*Result, error) {
+// simulate executes one job on a worker slot and reports how long it ran,
+// timed from the moment it holds the slot: the wait for one is excluded.
+func (e *Engine) simulate(parent context.Context, j Job) (*Result, time.Duration, error) {
 	select {
 	case e.sem <- struct{}{}:
 	case <-parent.Done():
-		return nil, parent.Err()
+		return nil, 0, parent.Err()
 	}
 	defer func() { <-e.sem }()
+	start := time.Now()
 	ctx := parent
 	if e.conf.JobTimeout > 0 {
 		var cancel context.CancelFunc
@@ -405,12 +406,13 @@ func (e *Engine) simulate(parent context.Context, j Job) (*Result, error) {
 	e.emit(Event{Job: j, Phase: JobStart})
 
 	res, err := e.simulate1(ctx, j)
+	elapsed := time.Since(start)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
 		// The per-job deadline expired while the suite is still live:
 		// report it as a job failure, not a cancellation.
-		return nil, fmt.Errorf("engine: %v: %w after %v", j, ErrJobTimeout, e.conf.JobTimeout)
+		return nil, elapsed, fmt.Errorf("engine: %v: %w after %v", j, ErrJobTimeout, e.conf.JobTimeout)
 	}
-	return res, err
+	return res, elapsed, err
 }
 
 // simulate1 builds and runs the machine under an already-bounded context.
@@ -457,10 +459,10 @@ func (e *Engine) simulate1(ctx context.Context, j Job) (*Result, error) {
 }
 
 // Do runs fn on a worker slot, applying the engine's per-job timeout. It
-// lets non-Job work — the crash campaign's sweep chunks, which each carry
-// their own simulation loop — share the same bounded pool instead of
-// stacking a second layer of parallelism on top of it. A Config.JobTimeout
-// expiry is reported as ErrJobTimeout, mirroring Run.
+// lets non-Job work — the crash campaign's tuple sweeps, each one forward
+// pass of its own simulation loop — share the same bounded pool instead
+// of stacking a second layer of parallelism on top of it. A
+// Config.JobTimeout expiry is reported as ErrJobTimeout, mirroring Run.
 func (e *Engine) Do(parent context.Context, fn func(context.Context) error) error {
 	select {
 	case e.sem <- struct{}{}:

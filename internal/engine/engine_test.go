@@ -248,6 +248,54 @@ func TestDoSharesWorkerPool(t *testing.T) {
 	}
 }
 
+// TestJobTimeExcludesSlotWait: a job's JobMetric.Wall and JobDone Elapsed
+// time its run, not its wait for a worker slot. A Do holds the only slot
+// for 300 ms while the job queues behind it.
+func TestJobTimeExcludesSlotWait(t *testing.T) {
+	const hold = 300 * time.Millisecond
+	var elapsed time.Duration
+	e := New(Config{Workers: 1, Progress: func(ev Event) {
+		if ev.Phase == JobDone {
+			elapsed = ev.Elapsed
+		}
+	}})
+	ctx := context.Background()
+	j := testJob(core.PMEM)
+	if _, err := e.Workload(ctx, j.Kind, j.Params); err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan struct{})
+	done := make(chan error)
+	go func() {
+		done <- e.Do(ctx, func(context.Context) error {
+			close(held)
+			time.Sleep(hold)
+			return nil
+		})
+	}()
+	<-held
+	queued := time.Now()
+	if _, err := e.Run(ctx, j); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(queued); waited < hold*9/10 {
+		t.Fatalf("Run returned after %v; it did not queue behind the %v hold", waited, hold)
+	}
+	m := e.Metrics()
+	if len(m) != 1 {
+		t.Fatalf("%d metrics, want 1", len(m))
+	}
+	if m[0].Wall >= hold*2/3 || elapsed >= hold*2/3 {
+		t.Fatalf("job timed at Wall %v / Elapsed %v behind a %v slot hold: the wait for the slot is counted", m[0].Wall, elapsed, hold)
+	}
+	if m[0].Wall <= 0 || elapsed <= 0 {
+		t.Fatalf("job timed at Wall %v / Elapsed %v, want the run's duration", m[0].Wall, elapsed)
+	}
+}
+
 // TestExportedWorkloadSharesBuilds: Engine.Workload memoizes with the
 // builds done by Run.
 func TestExportedWorkloadSharesBuilds(t *testing.T) {

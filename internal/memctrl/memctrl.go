@@ -68,10 +68,6 @@ type Controller struct {
 	nextRetire uint64 // min doneAt over issued entries (valid when issuedN > 0)
 	readsMin   uint64 // min completion over outstanding reads (valid when len(reads) > 0)
 
-	// storeWrites counts functional-store mutations (every c.store.Write),
-	// folding the store's state into PersistSig without hashing it.
-	storeWrites uint64
-
 	atomScratch map[uint64]bool // reusable AtomTxEnd cancellation set
 }
 
@@ -90,13 +86,6 @@ func New(cfg config.Mem, dev *nvm.Device, store *nvm.Store, st *stats.Mem) *Cont
 		reads:       make([]uint64, 0, cfg.ReadQ),
 		atomScratch: make(map[uint64]bool),
 	}
-}
-
-// storeWrite applies data to the functional store, counting the mutation
-// for PersistSig.
-func (c *Controller) storeWrite(addr uint64, data []byte) {
-	c.storeWrites++
-	c.store.Write(addr, data)
 }
 
 // Device returns the attached device (for endurance accounting).
@@ -315,7 +304,7 @@ func (c *Controller) retirePass(now uint64) {
 	c.nextRetire = ^uint64(0)
 	for _, e := range c.wpq {
 		if e.issued && e.doneAt <= now {
-			c.storeWrite(e.addr, e.data[:])
+			c.store.Write(e.addr, e.data[:])
 			if c.st != nil {
 				c.st.WPQDrained++
 				if e.doneAt > e.arrived {
@@ -539,7 +528,7 @@ func (c *Controller) DrainLog(now uint64, core int, tx uint32) {
 	for _, e := range c.lpq {
 		if e.Core == core && e.Tx == tx {
 			c.dev.Access(now, e.LogTo, true, stats.WriteLog)
-			c.storeWrite(e.LogTo, e.Data[:])
+			c.store.Write(e.LogTo, e.Data[:])
 			if c.st != nil {
 				c.st.LPQDrained++
 			}
@@ -621,7 +610,7 @@ func (c *Controller) AtomTxEnd(now uint64, core int, tx uint32, logEntries []uin
 			// that bounds ATOM's benefits to its available resources,
 			// §4.3).
 			tracked--
-			c.storeWrite(isa.LineAddr(a), zero[:])
+			c.store.Write(isa.LineAddr(a), zero[:])
 			continue
 		}
 		// Beyond the tracking capacity: search the log area (a read) and
@@ -629,7 +618,7 @@ func (c *Controller) AtomTxEnd(now uint64, core int, tx uint32, logEntries []uin
 		c.dev.Access(now, a, false, stats.WriteData)
 		if !c.WriteLine(now, a, zero, stats.WriteTruncate) {
 			c.dev.Access(now, a, true, stats.WriteTruncate)
-			c.storeWrite(isa.LineAddr(a), zero[:])
+			c.store.Write(isa.LineAddr(a), zero[:])
 		}
 	}
 }
@@ -654,7 +643,7 @@ func (c *Controller) PersistSig() uint64 {
 			h = (h ^ uint64(x)) * prime
 		}
 	}
-	w64(c.storeWrites)
+	w64(c.store.Writes())
 	w64(uint64(len(c.wpq)))
 	for i := range c.wpq {
 		e := &c.wpq[i]
@@ -708,9 +697,14 @@ type CrashFault struct {
 	Torn func(idx int, addr uint64) int
 }
 
-// CrashImageWith is CrashImage under an explicit fault model.
+// CrashImageWith is CrashImage under an explicit fault model. The image
+// is a copy-on-write fork of the controller's store: the pending lines
+// (and whatever recovery later writes) land in the fork, so its cost is
+// those lines, not the store. It lives until the controller next writes
+// the store (any later access panics); a caller that keeps an image
+// across a step takes its Snapshot first.
 func (c *Controller) CrashImageWith(f CrashFault) *nvm.Store {
-	img := c.store.Snapshot()
+	img := c.store.Fork()
 	idx := 0
 	apply := func(addr uint64, data *[isa.LineSize]byte) {
 		words := 8

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -203,6 +204,40 @@ func TestCrashImageADR(t *testing.T) {
 	noADR := c.CrashImage(false)
 	if noADR.Read(isa.HeapBase, 1)[0] != 0 {
 		t.Fatal("non-ADR image contains undrained WPQ write")
+	}
+}
+
+// TestCrashImageAllocatesPerPendingLine: a crash image forks the store,
+// so taking one over a ~2,000-line store allocates for the few pending
+// queue lines it holds, not for the store.
+func TestCrashImageAllocatesPerPendingLine(t *testing.T) {
+	c, _ := newTestController()
+	var data [isa.LineSize]byte
+	for i := uint64(0); i < 2000; i++ {
+		c.Store().Write(isa.HeapBase+i*isa.LineSize, data[:8])
+	}
+	data[0] = 0x5A
+	for i := uint64(0); i < 3; i++ {
+		if !c.WriteLine(10, isa.HeapBase+i*4096, data, stats.WriteData) {
+			t.Fatal("write refused")
+		}
+	}
+	base, _ := isa.LogWindow(0)
+	c.LogFlush(10, mkEntry(0, 1, base, false))
+
+	var before, after runtime.MemStats
+	const n = 100
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if img := c.CrashImage(true); img.Read(isa.HeapBase, 1)[0] != 0x5A {
+			t.Fatal("crash image missing a pending WPQ line")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Four pending lines fit one minimum-size slab (16 lines); a copy of
+	// the store would take 2,000.
+	if got := (after.TotalAlloc - before.TotalAlloc) / n; got > 64*isa.LineSize {
+		t.Fatalf("crash image of a 2,000-line store with 4 pending lines allocates %d bytes, want at most %d", got, 64*isa.LineSize)
 	}
 }
 

@@ -2,7 +2,10 @@ package nvm
 
 import (
 	"bytes"
+	"io"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -117,6 +120,140 @@ func TestLinesIn(t *testing.T) {
 	lines := s.LinesIn(0x1000, 0x2000)
 	if len(lines) != 2 || lines[0] != 0x1000 || lines[1] != 0x1040 {
 		t.Fatalf("lines: %#x", lines)
+	}
+}
+
+// TestForkPanicsAfterBaseWrite: once any level below a fork is written,
+// every access through the fork panics instead of mixing old and new base
+// state; a Snapshot taken before the write stays usable.
+func TestForkPanicsAfterBaseWrite(t *testing.T) {
+	accesses := map[string]func(*Store){
+		"Read":      func(s *Store) { s.Read(0x1000, 8) },
+		"LineView":  func(s *Store) { s.LineView(0x1000) },
+		"Write":     func(s *Store) { s.WriteUint64(0x9000, 1) },
+		"LinesIn":   func(s *Store) { s.LinesIn(0, 0x10000) },
+		"Snapshot":  func(s *Store) { s.Snapshot() },
+		"Blocks":    func(s *Store) { s.Blocks() },
+		"Serialize": func(s *Store) { _ = s.Serialize(io.Discard) },
+	}
+	for _, level := range []string{"root", "middle"} {
+		for name, access := range accesses {
+			root := NewStore()
+			root.WriteUint64(0x1000, 1)
+			mid := root.Fork()
+			mid.WriteUint64(0x2000, 2)
+			top := mid.Fork()
+			top.WriteUint64(0x3000, 3)
+			snap := top.Snapshot()
+			access(top) // fine before the write
+			if level == "root" {
+				root.WriteUint64(0x1000, 4)
+			} else {
+				mid.WriteUint64(0x1000, 4)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s through a fork after a write to its %s level did not panic", name, level)
+					}
+				}()
+				access(top)
+			}()
+			if got := snap.ReadUint64(0x1000); got != 1 {
+				t.Errorf("snapshot reads %d after a write to its %s level, want 1", got, level)
+			}
+		}
+	}
+	// The written base itself, and a fork taken after the write, are fine.
+	root := NewStore()
+	_ = root.Fork()
+	root.WriteUint64(0x1000, 1)
+	if root.ReadUint64(0x1000) != 1 || root.Fork().ReadUint64(0x1000) != 1 {
+		t.Fatal("a written base or a fresh fork of it misreads")
+	}
+}
+
+// TestLinesInMatchesSnapshot: LinesIn over a 2- or 3-level fork chain with
+// seeded random writes (lines shadowed by upper levels, lines spread over
+// distinct regions) lists exactly the lines its flat Snapshot lists, and
+// exactly the lines written, for random ranges and for ranges that start
+// or end at each level's bounds. The snapshot allocates exactly its line
+// count, and LineView reads the same lines through both.
+func TestLinesInMatchesSnapshot(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		written := map[uint64]bool{}
+		var levels []*Store
+		depth := 2 + rng.Intn(2)
+		s := NewStore()
+		for {
+			// Each level writes into its own region plus the lower ones'.
+			region := uint64(len(levels)+1) * 0x100000
+			for i := 0; i < 1+rng.Intn(64); i++ {
+				a := region + uint64(rng.Intn(256))*isa.LineSize
+				if len(levels) > 0 && rng.Intn(3) == 0 {
+					a = uint64(rng.Intn(len(levels))+1)*0x100000 + uint64(rng.Intn(256))*isa.LineSize
+				}
+				s.WriteUint64(a+uint64(rng.Intn(8))*8, rng.Uint64())
+				written[isa.LineAddr(a)] = true
+			}
+			levels = append(levels, s)
+			if len(levels) == depth {
+				break
+			}
+			s = s.Fork()
+		}
+		snap := s.Snapshot()
+
+		var ranges [][2]uint64
+		for _, l := range levels {
+			for _, b := range []uint64{l.lo, l.hi} {
+				ranges = append(ranges, [2]uint64{b, b + isa.LineSize}, [2]uint64{b - isa.LineSize, b},
+					[2]uint64{0, b}, [2]uint64{0, b + 1}, [2]uint64{b, ^uint64(0)}, [2]uint64{b + 1, ^uint64(0)})
+			}
+		}
+		for i := 0; i < 20; i++ {
+			lo := uint64(rng.Intn(0x400000))
+			ranges = append(ranges, [2]uint64{lo, lo + uint64(rng.Intn(0x200000))})
+		}
+		for _, r := range ranges {
+			var want []uint64
+			for a := range written {
+				if a >= r[0] && a < r[1] {
+					want = append(want, a)
+				}
+			}
+			slices.Sort(want)
+			got, flat := s.LinesIn(r[0], r[1]), snap.LinesIn(r[0], r[1])
+			if !slices.Equal(got, want) || !slices.Equal(flat, want) {
+				t.Fatalf("seed %d, %d levels, LinesIn(%#x, %#x): chain %#x, snapshot %#x, written %#x",
+					seed, len(levels), r[0], r[1], got, flat, want)
+			}
+		}
+		if s.Blocks() != len(written) || snap.Blocks() != len(written) {
+			t.Fatalf("seed %d: Blocks chain %d, snapshot %d, written %d", seed, s.Blocks(), snap.Blocks(), len(written))
+		}
+		if cap(snap.slab) != 0 {
+			t.Fatalf("seed %d: a snapshot of %d lines left %d slab blocks unused", seed, len(written), cap(snap.slab))
+		}
+		for a := range written {
+			if s.LineView(a) != snap.LineView(a) {
+				t.Fatalf("seed %d: LineView(%#x) differs between the chain and its snapshot", seed, a)
+			}
+		}
+		if s.LineView(0x7fff000) != [isa.LineSize]byte{} {
+			t.Fatalf("seed %d: an unwritten line does not read as zero", seed)
+		}
+		var a, b bytes.Buffer
+		if err := s.Serialize(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := snap.Serialize(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("seed %d: a fork chain and its snapshot serialize differently", seed)
+		}
 	}
 }
 

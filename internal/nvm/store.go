@@ -10,7 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -18,16 +18,27 @@ import (
 // Store is the functional contents of main memory, kept as sparse 64-byte
 // blocks. It is shared between the timing layer (writes drained from the
 // memory controller land here) and the recovery layer (crash images are
-// snapshots of it).
+// copy-on-write forks of it).
 //
 // A store can be a copy-on-write fork of a base store (Fork): reads fall
 // through to the base, the first write to a line copies it. Simulations
 // fork the (immutable, shared) workload init image instead of deep-copying
-// it, which removes the dominant allocation cost of building a System.
+// it, which removes the dominant allocation cost of building a System, and
+// a crash image forks the simulation's store, so it costs only the lines
+// the crash and recovery write.
 type Store struct {
 	blocks map[uint64]*[isa.LineSize]byte
 	base   *Store // copy-on-write parent; nil for a flat store
 	slab   [][isa.LineSize]byte
+	// writes counts Write calls. A fork records its base's count when it
+	// is taken (baseWrites); once any level below a fork has been written
+	// since, the fork would mix old and new base state, so every access
+	// through it panics.
+	writes, baseWrites uint64
+	// lo and hi bound the addresses of the store's own lines (meaningful
+	// only when blocks is non-empty): a range scan skips a level whose
+	// bounds miss the range.
+	lo, hi uint64
 }
 
 // NewStore returns an empty store. Unwritten bytes read as zero.
@@ -36,10 +47,33 @@ func NewStore() *Store {
 }
 
 // Fork returns a copy-on-write view of s. The fork sees every line of s
-// and owns every line it writes; s must not be written while forks of it
-// are alive (concurrent read-only use of the base is safe).
+// and owns every line it writes. Writing s (or any level below it) ends
+// the fork's life: any later access through the fork panics. A fork that
+// must outlive such a write is flattened with Snapshot first. Concurrent
+// read-only use of the base is safe.
 func (s *Store) Fork() *Store {
-	return &Store{blocks: make(map[uint64]*[isa.LineSize]byte), base: s}
+	return &Store{blocks: make(map[uint64]*[isa.LineSize]byte), base: s, baseWrites: s.writes}
+}
+
+// checkForks panics when a level below s was written after the fork
+// above it was taken.
+func (s *Store) checkForks() {
+	for p := s; p.base != nil; p = p.base {
+		if p.base.writes != p.baseWrites {
+			panic("nvm: access through a fork whose base was written after the fork was taken")
+		}
+	}
+}
+
+// put installs a block as one of the store's own lines.
+func (s *Store) put(line uint64, b *[isa.LineSize]byte) {
+	if len(s.blocks) == 0 || line < s.lo {
+		s.lo = line
+	}
+	if len(s.blocks) == 0 || line > s.hi {
+		s.hi = line
+	}
+	s.blocks[line] = b
 }
 
 // Blocks are carved from arena slabs: one heap allocation covers many
@@ -63,6 +97,7 @@ func (s *Store) newBlock() *[isa.LineSize]byte {
 
 func (s *Store) block(addr uint64, create bool) *[isa.LineSize]byte {
 	line := isa.LineAddr(addr)
+	s.checkForks()
 	if b := s.blocks[line]; b != nil {
 		return b
 	}
@@ -80,33 +115,17 @@ func (s *Store) block(addr uint64, create bool) *[isa.LineSize]byte {
 	if inherited != nil {
 		*nb = *inherited
 	}
-	s.blocks[line] = nb
+	s.put(line, nb)
 	return nb
 }
 
-// view returns the merged line map of the store and its base chain (own
-// lines shadow inherited ones). For a flat store it is the block map
-// itself and costs nothing.
-func (s *Store) view() map[uint64]*[isa.LineSize]byte {
-	if s.base == nil {
-		return s.blocks
+// LineView returns a copy of the 64-byte line holding addr (all zero when
+// the line was never written): one lookup serves every word of the line.
+func (s *Store) LineView(addr uint64) (line [isa.LineSize]byte) {
+	if b := s.block(addr, false); b != nil {
+		line = *b
 	}
-	n := len(s.blocks)
-	for p := s.base; p != nil; p = p.base {
-		n += len(p.blocks)
-	}
-	m := make(map[uint64]*[isa.LineSize]byte, n)
-	var add func(*Store)
-	add = func(p *Store) {
-		if p.base != nil {
-			add(p.base)
-		}
-		for a, b := range p.blocks {
-			m[a] = b
-		}
-	}
-	add(s)
-	return m
+	return line
 }
 
 // Read copies size bytes at addr into a fresh slice.
@@ -138,6 +157,7 @@ func (s *Store) ReadInto(addr uint64, buf []byte) {
 
 // Write stores data at addr.
 func (s *Store) Write(addr uint64, data []byte) {
+	s.writes++
 	for i := 0; i < len(data); {
 		b := s.block(addr+uint64(i), true)
 		off := int((addr + uint64(i)) & (isa.LineSize - 1))
@@ -170,38 +190,84 @@ func (s *Store) WriteUint64(addr, v uint64) {
 	s.Write(addr, buf[:])
 }
 
-// Snapshot returns a deep, flat copy of the store (a crash image). Forked
-// stores are flattened: the copy holds the merged contents and has no base.
+// Snapshot returns a deep, flat copy of the store. Forked stores are
+// flattened: the copy holds the merged contents and has no base, so later
+// writes to the original's base levels do not end its life. The copy
+// allocates exactly its line count.
 func (s *Store) Snapshot() *Store {
-	v := s.view()
-	c := &Store{
-		blocks: make(map[uint64]*[isa.LineSize]byte, len(v)),
-		slab:   make([][isa.LineSize]byte, len(v)),
+	s.checkForks()
+	// visible reports whether level p's line a is not shadowed by a level
+	// above it.
+	visible := func(p *Store, a uint64) bool {
+		for q := s; q != p; q = q.base {
+			if q.blocks[a] != nil {
+				return false
+			}
+		}
+		return true
 	}
-	for a, b := range v {
-		nb := c.newBlock()
-		*nb = *b
-		c.blocks[a] = nb
+	n := 0
+	for p := s; p != nil; p = p.base {
+		for a := range p.blocks {
+			if visible(p, a) {
+				n++
+			}
+		}
+	}
+	c := &Store{blocks: make(map[uint64]*[isa.LineSize]byte, n), slab: make([][isa.LineSize]byte, n)}
+	for p := s; p != nil; p = p.base {
+		for a, b := range p.blocks {
+			if visible(p, a) {
+				nb := c.newBlock()
+				*nb = *b
+				c.put(a, nb)
+			}
+		}
 	}
 	return c
 }
 
+// Writes returns how many Write calls the store has taken (its own, not
+// its base's): a counter of its mutations that costs nothing to read.
+func (s *Store) Writes() uint64 { return s.writes }
+
 // Blocks returns the number of materialized 64-byte blocks (including
 // lines inherited from the base of a fork).
-func (s *Store) Blocks() int { return len(s.view()) }
+func (s *Store) Blocks() int {
+	if s.base == nil {
+		return len(s.blocks)
+	}
+	return len(s.lines(0, ^uint64(0)))
+}
 
 // LinesIn returns the sorted addresses of materialized 64-byte blocks in
 // [base, limit). Recovery uses it to scan log areas without touching
 // never-written space.
 func (s *Store) LinesIn(base, limit uint64) []uint64 {
+	if limit <= base {
+		return nil
+	}
+	return s.lines(base, limit-1)
+}
+
+// lines returns the sorted addresses of materialized blocks in [lo, hi],
+// scanning only the levels of the fork chain whose bounds meet the range.
+func (s *Store) lines(lo, hi uint64) []uint64 {
+	s.checkForks()
 	var out []uint64
-	for a := range s.view() {
-		if a >= base && a < limit {
-			out = append(out, a)
+	for p := s; p != nil; p = p.base {
+		if len(p.blocks) == 0 || p.hi < lo || p.lo > hi {
+			continue
+		}
+		for a := range p.blocks {
+			if a >= lo && a <= hi {
+				out = append(out, a)
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	// A line a fork rewrote is listed by both levels.
+	return slices.Compact(out)
 }
 
 // EqualRange reports whether two stores hold identical bytes over
@@ -232,23 +298,18 @@ func (s *Store) Serialize(w io.Writer) error {
 	if _, err := w.Write(storeMagic[:]); err != nil {
 		return err
 	}
-	v := s.view()
+	lines := s.lines(0, ^uint64(0))
 	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(v)))
+	binary.LittleEndian.PutUint64(buf[:], uint64(len(lines)))
 	if _, err := w.Write(buf[:]); err != nil {
 		return err
 	}
-	lines := make([]uint64, 0, len(v))
-	for a := range v {
-		lines = append(lines, a)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
 	for _, a := range lines {
 		binary.LittleEndian.PutUint64(buf[:], a)
 		if _, err := w.Write(buf[:]); err != nil {
 			return err
 		}
-		if _, err := w.Write(v[a][:]); err != nil {
+		if _, err := w.Write(s.block(a, false)[:]); err != nil {
 			return err
 		}
 	}
@@ -281,7 +342,7 @@ func ReadSerialized(r io.Reader) (*Store, error) {
 		if _, err := io.ReadFull(r, b[:]); err != nil {
 			return nil, fmt.Errorf("nvm: reading block %d data: %w", i, err)
 		}
-		s.blocks[addr] = b
+		s.put(addr, b)
 	}
 	return s, nil
 }

@@ -1,10 +1,11 @@
 package recovery
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
-	"repro/internal/heap"
 	"repro/internal/isa"
 	"repro/internal/nvm"
 	"repro/internal/workload"
@@ -18,37 +19,54 @@ import (
 // — every transaction is all-or-nothing, and no committed transaction is
 // lost except possibly the very last one in flight at the crash.
 type Oracle struct {
-	init *nvm.Store
-	txns [][]*heap.Txn
-	// domain is the per-thread set of words any transaction can write or
-	// roll back (write sets widened to 32-byte blocks, plus hinted
-	// lines): the addresses recovery is allowed to touch and the verifier
-	// compares.
-	domain [][]uint64
-	// uncovered maps, per thread, a word to the (1-based) transaction
-	// indexes that wrote it without declaring it in their undo-log hints
-	// — writes to freshly allocated memory, which the paper's
-	// failure-safe-allocation assumption (§5.2) exempts from undo
-	// logging. Software-logging verification treats such words as
-	// don't-care when one of those transactions may have executed past
-	// the verified prefix.
-	uncovered []map[uint64][]int
+	threads []threadIndex
+}
+
+// threadIndex is one thread's verification domain: every word any
+// transaction can write or roll back (write sets widened to 32-byte
+// blocks, plus hinted lines) — the addresses recovery is allowed to touch
+// and the verifier compares — in ascending address order.
+type threadIndex struct {
+	txns  int
+	words []domainWord
+}
+
+// domainWord is one word of a thread's domain, indexed so a check against
+// any transaction prefix reads it once and allocates nothing.
+type domainWord struct {
+	addr uint64
+	init uint64 // value in the initialization image
+	// posts is the word's value after each transaction that wrote it, in
+	// transaction order.
+	posts []post
+	// newestUncovered is the newest (1-based) transaction that wrote the
+	// word without declaring it in its undo-log hints — a write to freshly
+	// allocated memory, which the paper's failure-safe-allocation
+	// assumption (§5.2) exempts from undo logging — or 0. Software-logging
+	// verification treats the word as don't-care when such a transaction
+	// may have executed past the verified prefix.
+	newestUncovered int
+}
+
+// post is a word's value after the (1-based) transaction txn.
+type post struct {
+	txn int
+	val uint64
 }
 
 // NewOracle builds the oracle for a recorded workload.
 func NewOracle(w *workload.Workload) *Oracle {
-	o := &Oracle{init: w.InitImage}
+	o := &Oracle{}
 	for _, h := range w.Heaps {
-		o.txns = append(o.txns, h.Txns)
 		seen := make(map[uint64]struct{})
-		var words []uint64
+		var addrs []uint64
 		add := func(addr uint64) {
 			if _, ok := seen[addr]; !ok {
 				seen[addr] = struct{}{}
-				words = append(words, addr)
+				addrs = append(addrs, addr)
 			}
 		}
-		unc := make(map[uint64][]int)
+		uncovered := make(map[uint64]int)
 		for i, t := range h.Txns {
 			hinted := make(map[uint64]struct{})
 			for _, r := range t.Hints {
@@ -63,7 +81,7 @@ func NewOracle(w *workload.Workload) *Oracle {
 					add(b + w)
 				}
 				if _, ok := hinted[a]; !ok {
-					unc[a] = append(unc[a], i+1)
+					uncovered[a] = i + 1
 				}
 			}
 			for a := range hinted {
@@ -73,18 +91,39 @@ func NewOracle(w *workload.Workload) *Oracle {
 		// Sort so verification scans (and reports first mismatches) in
 		// ascending address order: diagnostics stay deterministic across
 		// processes despite the map-ordered build above.
-		sort.Slice(words, func(i, j int) bool { return words[i] < words[j] })
-		o.domain = append(o.domain, words)
-		o.uncovered = append(o.uncovered, unc)
+		slices.Sort(addrs)
+		d := threadIndex{txns: len(h.Txns), words: make([]domainWord, len(addrs))}
+		index := make(map[uint64]int, len(addrs))
+		for k, a := range addrs {
+			index[a] = k
+			d.words[k] = domainWord{addr: a, init: w.InitImage.ReadUint64(a), newestUncovered: uncovered[a]}
+		}
+		for i, t := range h.Txns {
+			for a, v := range t.Post {
+				if k, ok := index[a]; ok {
+					d.words[k].posts = append(d.words[k].posts, post{txn: i + 1, val: v})
+				}
+			}
+		}
+		o.threads = append(o.threads, d)
 	}
 	return o
+}
+
+// after returns the word's value after the first m transactions.
+func (dw *domainWord) after(m int) uint64 {
+	n := sort.Search(len(dw.posts), func(i int) bool { return dw.posts[i].txn > m })
+	if n == 0 {
+		return dw.init
+	}
+	return dw.posts[n-1].val
 }
 
 // VerifyFinal checks that img holds the state after all transactions of
 // every thread (the no-crash end state).
 func (o *Oracle) VerifyFinal(img *nvm.Store) error {
-	for t := range o.txns {
-		if err := o.verifyThreadAt(img, t, len(o.txns[t]), false); err != nil {
+	for t := range o.threads {
+		if err := o.verifyThreadAt(img, t, o.threads[t].txns, false); err != nil {
 			return err
 		}
 	}
@@ -110,8 +149,8 @@ func (o *Oracle) VerifyPrefixSW(img *nvm.Store, committed []int) ([]int, error) 
 }
 
 func (o *Oracle) verifyPrefix(img *nvm.Store, committed []int, sw bool) ([]int, error) {
-	matched := make([]int, len(o.txns))
-	for t := range o.txns {
+	matched := make([]int, len(o.threads))
+	for t := range o.threads {
 		n := 0
 		if t < len(committed) {
 			n = committed[t]
@@ -119,7 +158,7 @@ func (o *Oracle) verifyPrefix(img *nvm.Store, committed []int, sw bool) ([]int, 
 		var firstErr error
 		ok := false
 		for _, m := range []int{n, n + 1} {
-			if m > len(o.txns[t]) {
+			if m > o.threads[t].txns {
 				break
 			}
 			if err := o.verifyThreadAt(img, t, m, sw); err == nil {
@@ -139,33 +178,26 @@ func (o *Oracle) verifyPrefix(img *nvm.Store, committed []int, sw bool) ([]int, 
 }
 
 // verifyThreadAt checks thread t's domain words against the state after m
-// transactions. In sw mode, words with uncovered writes by transactions
-// beyond the prefix are don't-care.
+// transactions, reading the image one line at a time. In sw mode, words
+// with uncovered writes by transactions beyond the prefix are don't-care.
 func (o *Oracle) verifyThreadAt(img *nvm.Store, t, m int, sw bool) error {
-	state := make(map[uint64]uint64)
-	for i := 0; i < m; i++ {
-		for a, v := range o.txns[t][i].Post {
-			state[a] = v
+	line := ^uint64(0)
+	var data [isa.LineSize]byte
+	for i := range o.threads[t].words {
+		dw := &o.threads[t].words[i]
+		if l := isa.LineAddr(dw.addr); l != line {
+			line, data = l, img.LineView(l)
 		}
-	}
-words:
-	for _, a := range o.domain[t] {
-		want, ok := state[a]
-		if !ok {
-			want = o.init.ReadUint64(a)
-		}
-		got := img.ReadUint64(a)
+		// Domain words are 8-byte aligned: each lies in one line.
+		got := binary.LittleEndian.Uint64(data[dw.addr-line:])
+		want := dw.after(m)
 		if got == want {
 			continue
 		}
-		if sw {
-			for _, j := range o.uncovered[t][a] {
-				if j > m {
-					continue words // clobbered fresh allocation; free memory
-				}
-			}
+		if sw && dw.newestUncovered > m {
+			continue // clobbered fresh allocation; free memory
 		}
-		return fmt.Errorf("word %#x: got %#x, want %#x (after %d txns)", a, got, want, m)
+		return fmt.Errorf("word %#x: got %#x, want %#x (after %d txns)", dw.addr, got, want, m)
 	}
 	return nil
 }
@@ -186,15 +218,15 @@ func (s ThreadStatus) OK() bool { return s.Matched >= 0 }
 // diagnostics: a crash-campaign reproducer or proteus-recover run wants
 // the full per-thread picture of a failed image.
 func (o *Oracle) Report(img *nvm.Store, committed []int, sw bool) []ThreadStatus {
-	out := make([]ThreadStatus, len(o.txns))
-	for t := range o.txns {
+	out := make([]ThreadStatus, len(o.threads))
+	for t := range o.threads {
 		n := 0
 		if t < len(committed) {
 			n = committed[t]
 		}
 		st := ThreadStatus{Thread: t, Committed: n, Matched: -1}
 		for _, m := range []int{n, n + 1} {
-			if m > len(o.txns[t]) {
+			if m > o.threads[t].txns {
 				break
 			}
 			if err := o.verifyThreadAt(img, t, m, sw); err == nil {
@@ -210,7 +242,7 @@ func (o *Oracle) Report(img *nvm.Store, committed []int, sw bool) []ThreadStatus
 }
 
 // Threads returns the thread count the oracle covers.
-func (o *Oracle) Threads() int { return len(o.txns) }
+func (o *Oracle) Threads() int { return len(o.threads) }
 
 // TxnCount returns thread t's recorded transaction count.
-func (o *Oracle) TxnCount(t int) int { return len(o.txns[t]) }
+func (o *Oracle) TxnCount(t int) int { return o.threads[t].txns }

@@ -3,6 +3,7 @@ package recovery
 import (
 	"testing"
 
+	"repro/internal/nvm"
 	"repro/internal/workload"
 )
 
@@ -122,5 +123,31 @@ func TestOracleVerifyFinal(t *testing.T) {
 	}
 	if err := o.VerifyFinal(img); err == nil {
 		t.Fatal("corruption not detected")
+	}
+}
+
+// TestVerifyPrefixAllocatesOnce pins the indexed oracle's cost: a
+// successful VerifyPrefix or VerifyPrefixSW allocates only its result.
+func TestVerifyPrefixAllocatesOnce(t *testing.T) {
+	w := buildW(t)
+	o := NewOracle(w)
+	img := w.InitImage.Fork()
+	counts := []int{len(w.Heaps[0].Txns) / 2, len(w.Heaps[1].Txns) / 2}
+	for th, h := range w.Heaps {
+		for _, txn := range h.Txns[:counts[th]] {
+			for a, v := range txn.Post {
+				img.WriteUint64(a, v)
+			}
+		}
+	}
+	for name, verify := range map[string]func(*nvm.Store, []int) ([]int, error){
+		"VerifyPrefix": o.VerifyPrefix, "VerifyPrefixSW": o.VerifyPrefixSW,
+	} {
+		if _, err := verify(img, counts); err != nil {
+			t.Fatalf("%s rejected a replayed prefix: %v", name, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = verify(img, counts) }); allocs > 1 {
+			t.Errorf("%s allocates %.0f times per call, want at most 1", name, allocs)
+		}
 	}
 }
