@@ -418,6 +418,27 @@ func BenchmarkStepSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadBuild measures workload.Build, one sub-benchmark per
+// Table 2 benchmark, at the full Table 2 initialization footprint with
+// few timed operations (2 threads, InitScale 1, SimScale 1000): the
+// functional initialization through the heap and the NVM store dominates.
+// Run with -benchmem; bytes/op is the build's allocation.
+func BenchmarkWorkloadBuild(b *testing.B) {
+	for _, k := range workload.Table2 {
+		p := k.DefaultParams(1)
+		p.Threads = 2
+		p.SimOps = max(p.SimOps/1000, 8)
+		b.Run(k.Abbrev(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := workload.Build(k, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchLedger opens a fresh ledger in a per-call temp dir. The
 // admission benchmarks rotate to a new one periodically so the
 // append-rewrites-whole-file cost stays representative of a live

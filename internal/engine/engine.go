@@ -95,7 +95,8 @@ type Result struct {
 type Phase int
 
 const (
-	// JobStart fires when a simulation begins executing on a worker.
+	// JobStart fires when a simulation begins executing on a worker: it
+	// holds a slot, and its workload is built or being built by it.
 	JobStart Phase = iota
 	// JobDone fires when a simulation finishes (Err reports failure).
 	JobDone
@@ -127,7 +128,7 @@ type Event struct {
 	Job     Job
 	Phase   Phase
 	Err     error
-	Elapsed time.Duration // set on JobDone; excludes the wait for a worker slot
+	Elapsed time.Duration // set on JobDone; timed from JobStart
 }
 
 // ResultStore persists successful results across processes. The engine
@@ -146,8 +147,9 @@ type ResultStore interface {
 type Config struct {
 	// Workers bounds concurrent simulations; <= 0 means GOMAXPROCS.
 	Workers int
-	// JobTimeout is a wall-clock bound per simulation; 0 means none. An
-	// expiry fails only that job (ErrJobTimeout): siblings keep running.
+	// JobTimeout is a wall-clock bound per simulation, from JobStart; 0
+	// means none. An expiry fails only that job (ErrJobTimeout): siblings
+	// keep running.
 	JobTimeout time.Duration
 	// Progress, when non-nil, receives an Event per job transition.
 	Progress func(Event)
@@ -197,8 +199,9 @@ type JobMetric struct {
 	Fingerprint string `json:"fingerprint"`
 	// Cycles is the simulated cycle count of the run (0 on failure).
 	Cycles uint64 `json:"cycles"`
-	// Wall is the wall-clock duration of the simulation, from the moment
-	// it holds a worker slot (queueing for one is excluded).
+	// Wall is the wall-clock duration of the simulation, from JobStart:
+	// queueing for a worker slot and waiting for another job's build of
+	// the same workload are excluded.
 	Wall time.Duration `json:"wall_ns"`
 	// Err is the failure message, empty for a successful run.
 	Err string `json:"err,omitempty"`
@@ -388,12 +391,13 @@ func (e *Engine) RunAll(ctx context.Context, jobs []Job) error {
 }
 
 // simulate executes one job on a worker slot and reports how long it ran,
-// timed from the moment it holds the slot: the wait for one is excluded.
+// timed from the moment it holds the slot with its workload built or its
+// build claimed: neither the wait for a slot nor the wait for another
+// job's build of the same workload is included.
 func (e *Engine) simulate(parent context.Context, j Job) (*Result, time.Duration, error) {
-	select {
-	case e.sem <- struct{}{}:
-	case <-parent.Done():
-		return nil, 0, parent.Err()
+	ent, claimed, err := e.acquire(parent, wlKey{j.Kind, j.Params})
+	if err != nil {
+		return nil, 0, err
 	}
 	defer func() { <-e.sem }()
 	start := time.Now()
@@ -405,7 +409,13 @@ func (e *Engine) simulate(parent context.Context, j Job) (*Result, time.Duration
 	}
 	e.emit(Event{Job: j, Phase: JobStart})
 
-	res, err := e.simulate1(ctx, j)
+	if claimed {
+		e.build(ent, j.Kind, j.Params)
+	}
+	var res *Result
+	if err = ent.err; err == nil {
+		res, err = e.simulate1(ctx, j, ent.wl)
+	}
 	elapsed := time.Since(start)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
 		// The per-job deadline expired while the suite is still live:
@@ -415,12 +425,38 @@ func (e *Engine) simulate(parent context.Context, j Job) (*Result, time.Duration
 	return res, elapsed, err
 }
 
-// simulate1 builds and runs the machine under an already-bounded context.
-func (e *Engine) simulate1(ctx context.Context, j Job) (*Result, error) {
-	w, err := e.workloadFor(ctx, j.Kind, j.Params)
-	if err != nil {
-		return nil, err
+// acquire takes a worker slot for a job on workload k and returns holding
+// it, with k's entry either done or claimed by the caller (claimed), who
+// then builds it in the slot. A job whose workload another job is still
+// building gives its slot back until that build is done and then queues
+// for one again, so waiting on a build never holds a slot.
+func (e *Engine) acquire(ctx context.Context, k wlKey) (ent *wlEntry, claimed bool, err error) {
+	for {
+		select {
+		case e.sem <- struct{}{}:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
+		if ent, claimed = e.claim(k); claimed {
+			return ent, true, nil
+		}
+		select {
+		case <-ent.done:
+			return ent, false, nil
+		default:
+		}
+		<-e.sem
+		select {
+		case <-ent.done:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
 	}
+}
+
+// simulate1 generates and runs the machine under an already-bounded
+// context.
+func (e *Engine) simulate1(ctx context.Context, j Job, w *workload.Workload) (*Result, error) {
 	traces, err := logging.GenerateOpts(w, j.Scheme, j.Config, j.Log)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %v: %w", j, err)
@@ -484,35 +520,42 @@ func (e *Engine) Do(parent context.Context, fn func(context.Context) error) erro
 }
 
 // Workload returns the memoized workload build for (kind, params),
-// building it on first use. Campaign code uses it to share builds with
-// the experiment jobs running through the same engine.
+// building it on first use; concurrent callers wait for the builder.
+// Campaign code uses it to share builds with the experiment jobs running
+// through the same engine. Workloads are immutable after Build, so the
+// jobs sharing one read it concurrently without copies.
 func (e *Engine) Workload(ctx context.Context, kind workload.Kind, params workload.Params) (*workload.Workload, error) {
-	return e.workloadFor(ctx, kind, params)
+	ent, claimed := e.claim(wlKey{kind, params})
+	if claimed {
+		e.build(ent, kind, params)
+		return ent.wl, ent.err
+	}
+	select {
+	case <-ent.done:
+		return ent.wl, ent.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
-// workloadFor builds the workload for (kind, params) exactly once;
-// concurrent callers wait for the builder. Workloads are immutable after
-// Build, so the jobs sharing one read it concurrently without copies.
-func (e *Engine) workloadFor(ctx context.Context, kind workload.Kind, params workload.Params) (*workload.Workload, error) {
-	key := wlKey{kind, params}
+// claim returns k's workload entry, creating it when there is none; the
+// creator (claimed) must build it.
+func (e *Engine) claim(k wlKey) (ent *wlEntry, claimed bool) {
 	e.mu.Lock()
-	if ent, ok := e.wls[key]; ok {
-		e.mu.Unlock()
-		select {
-		case <-ent.done:
-			return ent.wl, ent.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	defer e.mu.Unlock()
+	if ent, ok := e.wls[k]; ok {
+		return ent, false
 	}
-	ent := &wlEntry{done: make(chan struct{})}
-	e.wls[key] = ent
-	e.mu.Unlock()
+	ent = &wlEntry{done: make(chan struct{})}
+	e.wls[k] = ent
+	return ent, true
+}
 
+// build runs a claimed entry's workload build and publishes the result.
+func (e *Engine) build(ent *wlEntry, kind workload.Kind, params workload.Params) {
 	ent.wl, ent.err = workload.Build(kind, params)
 	if ent.err == nil {
 		e.built.Add(1)
 	}
 	close(ent.done)
-	return ent.wl, ent.err
 }

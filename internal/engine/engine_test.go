@@ -296,6 +296,68 @@ func TestJobTimeExcludesSlotWait(t *testing.T) {
 	}
 }
 
+// TestBuildWaitHoldsNoSlot: a job whose workload another job is building
+// waits for that build without holding a worker slot. On two workers one
+// AVL job builds a slow workload and a second AVL job waits for it; a tiny
+// QE job submitted behind them runs in the slot the waiting job left free
+// and finishes before either AVL job.
+func TestBuildWaitHoldsNoSlot(t *testing.T) {
+	var mu sync.Mutex
+	var done []workload.Kind
+	var qeAt time.Time
+	building := make(chan struct{}, 1)
+	e := New(Config{Workers: 2, Progress: func(ev Event) {
+		switch {
+		case ev.Phase == JobStart && ev.Job.Kind == workload.AVLTree:
+			select {
+			case building <- struct{}{}:
+			default:
+			}
+		case ev.Phase == JobDone:
+			mu.Lock()
+			done = append(done, ev.Job.Kind)
+			if ev.Job.Kind == workload.Queue {
+				qeAt = time.Now()
+			}
+			mu.Unlock()
+		}
+	}})
+	avl := func(scheme core.Scheme) Job {
+		j := testJob(scheme)
+		j.Kind = workload.AVLTree
+		j.Params.InitOps = 60000
+		return j
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	run := func(j Job) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.Run(ctx, j); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	run(avl(core.PMEM))
+	<-building // the first AVL job holds a slot and builds
+	run(avl(core.Proteus))
+	// Give the second AVL job time to reach the build wait, so a job that
+	// waited there in a slot would hold the QE job up. The QE job finishes
+	// first on a correct engine whether or not it has.
+	time.Sleep(20 * time.Millisecond)
+	submitted := time.Now()
+	run(testJob(core.PMEM))
+	wg.Wait()
+	if len(done) != 3 || done[0] != workload.Queue {
+		t.Fatalf("jobs finished in order %v, %v after the QE job's submission: the QE job queued behind a job waiting on a build in its slot",
+			done, qeAt.Sub(submitted))
+	}
+	if c := e.Counters(); c.WorkloadsBuilt != 2 || c.Simulated != 3 {
+		t.Fatalf("counters %+v, want 2 builds / 3 simulations", c)
+	}
+}
+
 // TestExportedWorkloadSharesBuilds: Engine.Workload memoizes with the
 // builds done by Run.
 func TestExportedWorkloadSharesBuilds(t *testing.T) {

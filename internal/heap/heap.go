@@ -5,6 +5,9 @@
 // (write sets with pre/post images, plus the conservative undo-log hints
 // software logging needs).
 //
+// A heap loads and stores through one functional image at a time, shared
+// by every thread's heap; SetImage retargets it.
+//
 // The recorded transactions are the single source the per-scheme code
 // generators (package logging) expand into micro-op traces, and the oracle
 // the recovery verifier replays.
@@ -108,6 +111,12 @@ func (h *Heap) Thread() int { return h.thread }
 
 // Image returns the shared functional image.
 func (h *Heap) Image() *nvm.Store { return h.img }
+
+// SetImage retargets the heap's loads and stores at img. A workload build
+// calls it at the boundary between initialization and recording, so the
+// timed operations write a fork and the store the initialization wrote
+// stays the untouched init image.
+func (h *Heap) SetImage(img *nvm.Store) { h.img = img }
 
 // Alloc returns a 64-byte-aligned block of at least size bytes. Node
 // allocations are line-aligned per Table 2 ("we size each node to be 64

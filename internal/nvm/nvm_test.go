@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"runtime"
@@ -41,6 +42,110 @@ func TestStoreUint64(t *testing.T) {
 	// Little-endian byte order.
 	if b := s.Read(0x2008, 1)[0]; b != 0x0D {
 		t.Fatalf("first byte %#x", b)
+	}
+}
+
+// TestWordAccessMatchesBytes: ReadUint64 and WriteUint64 agree with the
+// byte path (Read, Write of the little-endian bytes) at aligned addresses
+// and at unaligned ones that straddle a line, on a flat store and through
+// a two-level fork chain, where a word write copies its line on write and
+// leaves the levels below untouched. Every word write counts as a Write,
+// so a fork taken before it panics on its next access.
+func TestWordAccessMatchesBytes(t *testing.T) {
+	le := func(v uint64) []byte {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		return b[:]
+	}
+	// addrs mixes aligned words with unaligned ones, some straddling a line.
+	addrs := func(rng *rand.Rand, region uint64) []uint64 {
+		var out []uint64
+		for i := 0; i < 64; i++ {
+			line := region + uint64(rng.Intn(32))*isa.LineSize
+			switch i % 3 {
+			case 0:
+				out = append(out, line+uint64(rng.Intn(8))*8)
+			case 1:
+				out = append(out, line+isa.LineSize-1-uint64(rng.Intn(7))) // straddles
+			default:
+				out = append(out, line+uint64(rng.Intn(isa.LineSize-8)))
+			}
+		}
+		return out
+	}
+	// check compares the word store against the byte store over every
+	// address either may hold, through both read paths.
+	check := func(name string, words, bytesStore *Store, probe []uint64) {
+		t.Helper()
+		for _, a := range probe {
+			w, b := words.ReadUint64(a), bytesStore.ReadUint64(a)
+			if w != b || !bytes.Equal(words.Read(a, 8), le(w)) || !bytes.Equal(bytesStore.Read(a, 8), le(b)) {
+				t.Fatalf("%s: at %#x words read %#x (bytes %x), bytes read %#x (bytes %x)",
+					name, a, w, words.Read(a, 8), b, bytesStore.Read(a, 8))
+			}
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		words, byteWise := NewStore(), NewStore()
+		var probe []uint64
+		write := func(ws, bs *Store, region uint64) {
+			for _, a := range addrs(rng, region) {
+				v := rng.Uint64()
+				ws.WriteUint64(a, v)
+				bs.Write(a, le(v))
+				probe = append(probe, a, a&^7, isa.LineAddr(a)+isa.LineSize)
+			}
+		}
+		write(words, byteWise, 0x10000)
+		check("flat", words, byteWise, probe)
+
+		// Two fork levels over the flat stores; each writes its own region
+		// and over the levels below.
+		flat := words.Snapshot()
+		flatProbe := append([]uint64(nil), probe...)
+		mid, midB := words.Fork(), byteWise.Fork()
+		write(mid, midB, 0x10000)
+		write(mid, midB, 0x20000)
+		midSnap := mid.Snapshot()
+		midProbe := append([]uint64(nil), probe...)
+		top, topB := mid.Fork(), midB.Fork()
+		write(top, topB, 0x10000)
+		write(top, topB, 0x20000)
+		write(top, topB, 0x30000)
+		check("fork chain", top, topB, probe)
+		check("middle level", mid, midB, probe)
+		check("base level", words, byteWise, probe)
+		for _, a := range flatProbe {
+			if got, want := words.ReadUint64(a&^7), flat.ReadUint64(a&^7); got != want {
+				t.Fatalf("seed %d: a fork's word write changed the base at %#x: %#x, was %#x", seed, a&^7, got, want)
+			}
+		}
+		for _, a := range midProbe {
+			if got, want := mid.ReadUint64(a&^7), midSnap.ReadUint64(a&^7); got != want {
+				t.Fatalf("seed %d: a fork's word write changed its base fork at %#x: %#x, was %#x", seed, a&^7, got, want)
+			}
+		}
+	}
+
+	// A word write is a Write: it bumps the count and ends its forks' life.
+	for _, addr := range []uint64{0x4000, 0x403c} { // aligned, straddling
+		s := NewStore()
+		s.WriteUint64(0x4000, 1)
+		f := s.Fork()
+		n := s.Writes()
+		s.WriteUint64(addr, 2)
+		if s.Writes() != n+1 {
+			t.Fatalf("WriteUint64(%#x) took the write count from %d to %d, want %d", addr, n, s.Writes(), n+1)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a fork read after its base's WriteUint64(%#x) did not panic", addr)
+				}
+			}()
+			f.ReadUint64(0x4000)
+		}()
 	}
 }
 

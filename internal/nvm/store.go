@@ -21,11 +21,17 @@ import (
 // copy-on-write forks of it).
 //
 // A store can be a copy-on-write fork of a base store (Fork): reads fall
-// through to the base, the first write to a line copies it. Simulations
-// fork the (immutable, shared) workload init image instead of deep-copying
-// it, which removes the dominant allocation cost of building a System, and
-// a crash image forks the simulation's store, so it costs only the lines
-// the crash and recovery write.
+// through to the base, the first write to a line copies it. The workload
+// init image is the store the initialization wrote, handed over rather
+// than copied: the recording of the timed operations writes a fork of it,
+// and it is never written again. Simulations fork that (immutable,
+// shared) image instead of deep-copying it, which removes the dominant
+// allocation cost of building a System, and a crash image forks the
+// simulation's store, so it costs only the lines the crash and recovery
+// write.
+//
+// Word access (ReadUint64, WriteUint64) at an 8-byte-aligned address is
+// one block lookup: such a word never straddles a line.
 type Store struct {
 	blocks map[uint64]*[isa.LineSize]byte
 	base   *Store // copy-on-write parent; nil for a flat store
@@ -170,24 +176,34 @@ func (s *Store) Write(addr uint64, data []byte) {
 	}
 }
 
-// ReadUint64 reads an 8-byte little-endian value.
+// ReadUint64 reads an 8-byte little-endian value. An 8-byte-aligned word
+// never straddles a line, so it costs one block lookup; an unaligned one
+// takes the byte path.
 func (s *Store) ReadUint64(addr uint64) uint64 {
-	var buf [8]byte
-	s.ReadInto(addr, buf[:])
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(buf[i])
+	if addr&7 != 0 {
+		var buf [8]byte
+		s.ReadInto(addr, buf[:])
+		return binary.LittleEndian.Uint64(buf[:])
 	}
-	return v
+	b := s.block(addr, false)
+	if b == nil {
+		return 0
+	}
+	off := addr & (isa.LineSize - 1)
+	return binary.LittleEndian.Uint64(b[off : off+8])
 }
 
-// WriteUint64 writes an 8-byte little-endian value.
+// WriteUint64 writes an 8-byte little-endian value, counting as one Write.
 func (s *Store) WriteUint64(addr, v uint64) {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+	if addr&7 != 0 {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		s.Write(addr, buf[:])
+		return
 	}
-	s.Write(addr, buf[:])
+	s.writes++
+	off := addr & (isa.LineSize - 1)
+	binary.LittleEndian.PutUint64(s.block(addr, true)[off:off+8], v)
 }
 
 // Snapshot returns a deep, flat copy of the store. Forked stores are

@@ -176,9 +176,14 @@ type Workload struct {
 	Kind   Kind
 	Params Params
 	// InitImage is the functional NVM contents after the fast-forwarded
-	// initialization — the image the timing simulation starts from.
+	// initialization — the image the timing simulation starts from. It is
+	// the very store the initialization wrote, not a copy, and it is never
+	// written again: users fork it. A write to it would panic every later
+	// access through its forks, the heaps' included.
 	InitImage *nvm.Store
-	// Heaps hold the recorded transactions, one per thread.
+	// Heaps hold the recorded transactions, one per thread. Their image
+	// is a fork of InitImage that the recording wrote, so after Build it
+	// holds the state after the last timed operation.
 	Heaps []*heap.Heap
 	// Structs are the per-thread structures, for invariant checks.
 	Structs [][]checker
@@ -296,11 +301,15 @@ func Build(kind Kind, p Params) (*Workload, error) {
 		}
 	}
 
-	// The timing simulation starts from this image.
-	w.InitImage = img.Snapshot()
+	// The timing simulation starts from the image the initialization
+	// wrote, handed over as is.
+	w.InitImage = img
 
-	// Phase 2: record the timed operations as durable transactions.
+	// Phase 2: record the timed operations as durable transactions, into
+	// a fork so the init image stays untouched.
+	rec := img.Fork()
 	for _, ts := range states {
+		ts.h.SetImage(rec)
 		ts.h.SetRecording(true)
 		for i := 0; i < p.SimOps; i++ {
 			ts.op(ts.rng)

@@ -114,18 +114,45 @@ func TestDeterministicRecording(t *testing.T) {
 	}
 }
 
+// TestInitImagePredatesSimOps: for every Table 2 benchmark, the init
+// image holds the state before the timed ops and the heaps' image the
+// state after them. Across the recording order (each thread's
+// transactions, thread by thread), the first transaction to write a word
+// found its pre-image in the init image, and the last one left its
+// post-image in every heap's image.
 func TestInitImagePredatesSimOps(t *testing.T) {
-	p := Params{Threads: 1, InitOps: 32, SimOps: 8, Seed: 2}
-	w, err := Build(Queue, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The first timed transaction's pre-image of every word must equal
-	// the init image (nothing of the timed ops leaked in).
-	txn := w.Heaps[0].Txns[0]
-	for a, pre := range txn.Pre {
-		if got := w.InitImage.ReadUint64(a); got != pre {
-			t.Fatalf("init image at %#x = %#x, first txn pre = %#x", a, got, pre)
+	for _, k := range Table2 {
+		p := k.DefaultParams(200)
+		p.Threads = 2
+		w, err := Build(k, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, last := map[uint64]uint64{}, map[uint64]uint64{}
+		for _, h := range w.Heaps {
+			for _, txn := range h.Txns {
+				for a, pre := range txn.Pre {
+					if _, ok := first[a]; !ok {
+						first[a] = pre
+					}
+					last[a] = txn.Post[a]
+				}
+			}
+		}
+		if len(first) == 0 {
+			t.Fatalf("%v: the timed ops wrote no word", k)
+		}
+		for a, pre := range first {
+			if got := w.InitImage.ReadUint64(a); got != pre {
+				t.Fatalf("%v: init image at %#x = %#x, first writer's pre-image = %#x", k, a, got, pre)
+			}
+		}
+		for th, h := range w.Heaps {
+			for a, post := range last {
+				if got := h.Image().ReadUint64(a); got != post {
+					t.Fatalf("%v: thread %d heap image at %#x = %#x, last writer's post-image = %#x", k, th, a, got, post)
+				}
+			}
 		}
 	}
 }
