@@ -17,10 +17,11 @@
 //	proteus-bench -fig 6 -trace-dir traces  # one JSONL trace per job
 //	proteus-bench -pprof localhost:6060     # live profiling of the harness
 //
-// With -csv the per-job metrics summary (cycles, wall time, failures) is
-// written next to the tables as metrics.json. A job that exceeds -timeout
-// fails alone: the remaining jobs complete and the affected table cells
-// render as "-".
+// With -csv every table printed is also written as fig<name>.csv
+// (fig6.csv ... fig12.csv, figt3.csv, figt4.csv, figwpq.csv, ...), and
+// the per-job metrics summary (cycles, wall time, failures) next to them
+// as metrics.json. A job that exceeds -timeout fails alone: the remaining
+// jobs complete and the affected table cells render as "-".
 package main
 
 import (
@@ -136,35 +137,31 @@ func main() {
 
 	type tableExp struct {
 		name string
-		run  func() (fmt.Stringer, error)
+		run  func() (*stats.Table, error)
 	}
 	exps := []tableExp{
-		{"6", wrap(suite.Figure6)},
-		{"7", wrap(suite.Figure7)},
-		{"8", wrap(suite.Figure8)},
-		{"9", wrap(suite.Figure9)},
-		{"10", wrap(suite.Figure10)},
-		{"11", wrap(suite.Figure11)},
-		{"12", wrap(suite.Figure12)},
+		{"6", suite.Figure6},
+		{"7", suite.Figure7},
+		{"8", suite.Figure8},
+		{"9", suite.Figure9},
+		{"10", suite.Figure10},
+		{"11", suite.Figure11},
+		{"12", suite.Figure12},
 	}
 	// Ablations beyond the paper's own sensitivity study; selected by
 	// name, or by "ablations" for the whole group (excluded from "all").
 	ablations := []tableExp{
-		{"persistency", wrap(suite.PersistencyModels)},
-		{"llt", wrap(suite.LLTSweep)},
-		{"static-elim", wrap(suite.StaticVsDynamicFiltering)},
-		{"atom-inflight", wrap(suite.ATOMInFlightSweep)},
-		{"wpq", wrap(suite.WPQSweep)},
-		{"wpq-drain", wrap(suite.WPQDrainSweep)},
+		{"persistency", suite.PersistencyModels},
+		{"llt", suite.LLTSweep},
+		{"static-elim", suite.StaticVsDynamicFiltering},
+		{"atom-inflight", suite.ATOMInFlightSweep},
+		{"wpq", suite.WPQSweep},
+		{"wpq-drain", suite.WPQDrainSweep},
 	}
 
-	emit := func(name string, out fmt.Stringer) {
-		fmt.Println(out)
+	emit := func(name string, tab *stats.Table) {
+		fmt.Println(tab)
 		if *csvDir == "" {
-			return
-		}
-		tab, ok := out.(*stats.Table)
-		if !ok {
 			return
 		}
 		// Atomic publish: an interrupted run never leaves a truncated
@@ -198,7 +195,7 @@ func main() {
 		ran = true
 		res, err := suite.Table3()
 		exitOn(err)
-		fmt.Println(res.Speedups)
+		emit("t3", res.Speedups)
 		fmt.Println("log entries per transaction (before LLT -> flushed to MC):")
 		for _, n := range experiments.Table3Sizes {
 			fmt.Printf("  %5d elements: %8.0f -> %8.0f\n", n, res.EntriesPerTxn[n], res.FlushedPerTxn[n])
@@ -209,7 +206,7 @@ func main() {
 		ran = true
 		tab, err := suite.Table4()
 		exitOn(err)
-		fmt.Println(tab)
+		emit("t4", tab)
 	}
 	if want("logq-delta") {
 		ran = true
@@ -251,10 +248,6 @@ func main() {
 func traceName(j engine.Job) string {
 	r := strings.NewReplacer("/", "_", "+", "-", " ", "")
 	return r.Replace(j.String()) + "-" + j.Fingerprint() + ".jsonl"
-}
-
-func wrap[T fmt.Stringer](f func() (T, error)) func() (fmt.Stringer, error) {
-	return func() (fmt.Stringer, error) { return f() }
 }
 
 func exitOn(err error) {

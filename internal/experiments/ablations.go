@@ -2,114 +2,51 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/logging"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Ablations beyond the paper's own sensitivity study (§7): each isolates
-// one design choice DESIGN.md calls out. Like the figures, each declares
-// its job matrix and assembles from the engine's keyed results.
+// one design choice DESIGN.md calls out. Like the figures, each is a
+// declared table the shared runner fills.
 
 // PersistencyModels quantifies §2.1's taxonomy on the software-logging
 // baseline: strict persistency (fence per store) versus the epoch-style
 // durable-transaction steps the paper uses. Values are slowdowns relative
 // to the durable-transaction model (higher = slower).
 func (s *Suite) PersistencyModels() (*stats.Table, error) {
-	cfg := s.config()
-	models := []logging.PersistencyModel{logging.ModelDurableTx, logging.ModelEpoch, logging.ModelStrict}
-	job := func(k workload.Kind, m logging.PersistencyModel) engine.Job {
-		j := s.job(k, core.PMEM, cfg)
+	model := func(m logging.PersistencyModel) engine.Job {
+		j := on(core.PMEM, s.config())
 		j.Log = logging.Options{Model: m}
 		return j
 	}
-	var jobs []engine.Job
-	for _, k := range workload.Table2 {
-		for _, m := range models {
-			jobs = append(jobs, job(k, m))
-		}
+	var cols []column
+	for _, m := range []logging.PersistencyModel{logging.ModelDurableTx, logging.ModelEpoch, logging.ModelStrict} {
+		cols = append(cols, column{m.String(), []engine.Job{model(logging.ModelDurableTx), model(m)}, cycleRatio})
 	}
-	if err := s.eng.RunAll(s.ctx, jobs); err != nil {
-		return nil, err
-	}
-	cols := make([]string, 0, len(models))
-	for _, m := range models {
-		cols = append(cols, m.String())
-	}
-	tab := stats.NewTable("Ablation: persistency models on software logging (slowdown vs durable-tx)", "bench", benchRows(), cols)
-	for _, k := range workload.Table2 {
-		base, err := s.reportCell(job(k, logging.ModelDurableTx))
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range models {
-			rep, err := s.reportCell(job(k, m))
-			if err != nil {
-				return nil, err
-			}
-			if base == nil || rep == nil || base.Cycles == 0 {
-				tab.Set(k.Abbrev(), m.String(), math.NaN())
-				continue
-			}
-			tab.Set(k.Abbrev(), m.String(), float64(rep.Cycles)/float64(base.Cycles))
-		}
-	}
-	tab.AddGeoMeanRow()
-	return tab, nil
+	return s.table(table{title: "Ablation: persistency models on software logging (slowdown vs durable-tx)",
+		rows: s.benches(), cols: cols, geomean: true})
 }
 
 // LLTSizes is the LLT capacity sweep.
 var LLTSizes = []int{8, 16, 32, 64, 128, 256}
 
-// lltConfig returns the suite config with an n-entry LLT, shrinking the
-// associativity when the capacity is below the default way count.
-func (s *Suite) lltConfig(n int) config.Config {
-	c := s.config()
-	c.Proteus.LLTSize = n
-	if n < c.Proteus.LLTWays {
-		c.Proteus.LLTWays = n
-	}
-	return c
-}
-
-// LLTSweep measures the LLT miss rate and the log flushes per transaction
-// as the table grows (the paper fixes 64 entries; this shows why). The
-// returned table holds miss rates in percent.
+// LLTSweep measures the LLT miss rate as the table grows (the paper fixes
+// 64 entries; this shows why). The returned table holds miss rates in
+// percent. Capacities below the default way count shrink the
+// associativity to match.
 func (s *Suite) LLTSweep() (*stats.Table, error) {
-	var jobs []engine.Job
-	for _, k := range workload.Table2 {
-		for _, n := range LLTSizes {
-			jobs = append(jobs, s.job(k, core.Proteus, s.lltConfig(n)))
-		}
-	}
-	if err := s.eng.RunAll(s.ctx, jobs); err != nil {
-		return nil, err
-	}
-	cols := make([]string, 0, len(LLTSizes))
+	var cols []column
 	for _, n := range LLTSizes {
-		cols = append(cols, fmt.Sprintf("LLT=%d", n))
+		c := s.config()
+		c.Proteus.LLTSize = n
+		c.Proteus.LLTWays = min(c.Proteus.LLTWays, n)
+		cols = append(cols, column{fmt.Sprintf("LLT=%d", n), []engine.Job{on(core.Proteus, c)}, missRate})
 	}
-	tab := stats.NewTable("Ablation: LLT miss rate (%) vs capacity", "bench", benchRows(), cols)
-	tab.Format = "%8.1f"
-	for _, k := range workload.Table2 {
-		for _, n := range LLTSizes {
-			rep, err := s.reportCell(s.job(k, core.Proteus, s.lltConfig(n)))
-			if err != nil {
-				return nil, err
-			}
-			if rep == nil {
-				tab.Set(k.Abbrev(), fmt.Sprintf("LLT=%d", n), math.NaN())
-				continue
-			}
-			tab.Set(k.Abbrev(), fmt.Sprintf("LLT=%d", n), rep.LLTMissRate())
-		}
-	}
-	return tab, nil
+	return s.table(table{title: "Ablation: LLT miss rate (%) vs capacity", rows: s.benches(), cols: cols, format: "%8.1f"})
 }
 
 // StaticVsDynamicFiltering compares the hardware LLT against a
@@ -120,46 +57,17 @@ func (s *Suite) LLTSweep() (*stats.Table, error) {
 // stream the LLT sees.
 func (s *Suite) StaticVsDynamicFiltering() (*stats.Table, error) {
 	cfg := s.config()
-	static := func(k workload.Kind) engine.Job {
-		j := s.job(k, core.Proteus, cfg)
-		j.Log = logging.Options{StaticLogElim: true}
-		return j
+	base, dynamic, static := on(core.PMEM, cfg), on(core.Proteus, cfg), on(core.Proteus, cfg)
+	static.Log = logging.Options{StaticLogElim: true}
+	emitted := func(rs []*engine.Result) float64 {
+		return float64(rs[1].EmittedLogFlushes) / float64(max(rs[0].EmittedLogFlushes, 1))
 	}
-	var jobs []engine.Job
-	for _, k := range workload.Table2 {
-		jobs = append(jobs, s.job(k, core.PMEM, cfg), s.job(k, core.Proteus, cfg), static(k))
-	}
-	if err := s.eng.RunAll(s.ctx, jobs); err != nil {
-		return nil, err
-	}
-	cols := []string{"dynamic(LLT)", "static(compiler)", "logops-emitted-ratio"}
-	tab := stats.NewTable("Ablation: LLT vs compiler-side log elimination", "bench", benchRows(), cols)
-	for _, k := range workload.Table2 {
-		base, err := s.reportCell(s.job(k, core.PMEM, cfg))
-		if err != nil {
-			return nil, err
-		}
-		dyn, dynErr := s.eng.Run(s.ctx, s.job(k, core.Proteus, cfg))
-		st, stErr := s.eng.Run(s.ctx, static(k))
-		if s.ctx.Err() != nil {
-			if dynErr != nil {
-				return nil, dynErr
-			}
-			return nil, stErr
-		}
-		if base == nil || dynErr != nil || stErr != nil {
-			tab.Set(k.Abbrev(), "dynamic(LLT)", math.NaN())
-			tab.Set(k.Abbrev(), "static(compiler)", math.NaN())
-			tab.Set(k.Abbrev(), "logops-emitted-ratio", math.NaN())
-			continue
-		}
-		tab.Set(k.Abbrev(), "dynamic(LLT)", dyn.Report.Speedup(base))
-		tab.Set(k.Abbrev(), "static(compiler)", st.Report.Speedup(base))
-		tab.Set(k.Abbrev(), "logops-emitted-ratio",
-			float64(st.EmittedLogFlushes)/float64(max(dyn.EmittedLogFlushes, 1)))
-	}
-	tab.AddGeoMeanRow()
-	return tab, nil
+	return s.table(table{title: "Ablation: LLT vs compiler-side log elimination", rows: s.benches(), geomean: true,
+		cols: []column{
+			{"dynamic(LLT)", []engine.Job{base, dynamic}, speedup},
+			{"static(compiler)", []engine.Job{base, static}, speedup},
+			{"logops-emitted-ratio", []engine.Job{dynamic, static}, emitted},
+		}})
 }
 
 // ATOMInFlightSizes sweeps how many concurrent log-creation requests the
@@ -171,55 +79,16 @@ var ATOMInFlightSizes = []int{1, 2, 4, 8, 16}
 // LogQ decouples stores entirely. Values are speedups over PMEM.
 func (s *Suite) ATOMInFlightSweep() (*stats.Table, error) {
 	cfg := s.config()
-	variant := func(n int) config.Config {
+	base := on(core.PMEM, cfg)
+	var cols []column
+	for _, n := range ATOMInFlightSizes {
 		c := cfg
 		c.ATOM.InFlight = n
-		return c
+		cols = append(cols, column{fmt.Sprintf("inflight=%d", n), []engine.Job{base, on(core.ATOM, c)}, speedup})
 	}
-	var jobs []engine.Job
-	for _, k := range workload.Table2 {
-		jobs = append(jobs, s.job(k, core.PMEM, cfg), s.job(k, core.Proteus, cfg))
-		for _, n := range ATOMInFlightSizes {
-			jobs = append(jobs, s.job(k, core.ATOM, variant(n)))
-		}
-	}
-	if err := s.eng.RunAll(s.ctx, jobs); err != nil {
-		return nil, err
-	}
-	cols := make([]string, 0, len(ATOMInFlightSizes)+1)
-	for _, n := range ATOMInFlightSizes {
-		cols = append(cols, fmt.Sprintf("inflight=%d", n))
-	}
-	cols = append(cols, "Proteus")
-	tab := stats.NewTable("Ablation: ATOM log-request pipelining (speedup vs PMEM)", "bench", benchRows(), cols)
-	for _, k := range workload.Table2 {
-		base, err := s.reportCell(s.job(k, core.PMEM, cfg))
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range ATOMInFlightSizes {
-			rep, err := s.reportCell(s.job(k, core.ATOM, variant(n)))
-			if err != nil {
-				return nil, err
-			}
-			if base == nil || rep == nil {
-				tab.Set(k.Abbrev(), fmt.Sprintf("inflight=%d", n), math.NaN())
-				continue
-			}
-			tab.Set(k.Abbrev(), fmt.Sprintf("inflight=%d", n), rep.Speedup(base))
-		}
-		rep, err := s.reportCell(s.job(k, core.Proteus, cfg))
-		if err != nil {
-			return nil, err
-		}
-		if base == nil || rep == nil {
-			tab.Set(k.Abbrev(), "Proteus", math.NaN())
-			continue
-		}
-		tab.Set(k.Abbrev(), "Proteus", rep.Speedup(base))
-	}
-	tab.AddGeoMeanRow()
-	return tab, nil
+	cols = append(cols, versus(base, cfg, speedup, core.Proteus)...)
+	return s.table(table{title: "Ablation: ATOM log-request pipelining (speedup vs PMEM)",
+		rows: s.benches(), cols: cols, geomean: true})
 }
 
 // WPQSizes sweeps the write pending queue capacity.
@@ -229,48 +98,17 @@ var WPQSizes = []int{16, 32, 64, 128, 256}
 // (the paper motivates the LPQ by the cost of growing the WPQ; this is
 // the performance side of that trade).
 func (s *Suite) WPQSweep() (*stats.Table, error) {
-	variant := func(n int) config.Config {
+	wpq := func(n int) engine.Job {
 		c := s.config()
 		c.Mem.WPQ = n
-		if c.Mem.DrainHi > n {
-			c.Mem.DrainHi = n
-		}
-		return c
+		c.Mem.DrainHi = min(c.Mem.DrainHi, n)
+		return on(core.PMEM, c)
 	}
-	var jobs []engine.Job
-	for _, k := range workload.Table2 {
-		jobs = append(jobs, s.job(k, core.PMEM, variant(128)))
-		for _, n := range WPQSizes {
-			jobs = append(jobs, s.job(k, core.PMEM, variant(n)))
-		}
-	}
-	if err := s.eng.RunAll(s.ctx, jobs); err != nil {
-		return nil, err
-	}
-	cols := make([]string, 0, len(WPQSizes))
+	var cols []column
 	for _, n := range WPQSizes {
-		cols = append(cols, fmt.Sprintf("WPQ=%d", n))
+		cols = append(cols, column{fmt.Sprintf("WPQ=%d", n), []engine.Job{wpq(128), wpq(n)}, cycleRatio})
 	}
-	tab := stats.NewTable("Ablation: PMEM cycles normalized to WPQ=128", "bench", benchRows(), cols)
-	for _, k := range workload.Table2 {
-		base, err := s.reportCell(s.job(k, core.PMEM, variant(128)))
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range WPQSizes {
-			rep, err := s.reportCell(s.job(k, core.PMEM, variant(n)))
-			if err != nil {
-				return nil, err
-			}
-			if base == nil || rep == nil || base.Cycles == 0 {
-				tab.Set(k.Abbrev(), fmt.Sprintf("WPQ=%d", n), math.NaN())
-				continue
-			}
-			tab.Set(k.Abbrev(), fmt.Sprintf("WPQ=%d", n), float64(rep.Cycles)/float64(base.Cycles))
-		}
-	}
-	tab.AddGeoMeanRow()
-	return tab, nil
+	return s.table(table{title: "Ablation: PMEM cycles normalized to WPQ=128", rows: s.benches(), cols: cols, geomean: true})
 }
 
 // WPQDrainAges sweeps the maximum WPQ entry age before a forced drain
@@ -282,69 +120,15 @@ var WPQDrainAges = []int{8, 16, 48, 128, 384}
 // write coalescing and row batching, draining them old risks full-queue
 // stalls. Values are PMEM cycles normalized to the default age of 48.
 func (s *Suite) WPQDrainSweep() (*stats.Table, error) {
-	variant := func(age int) config.Config {
+	age := func(n int) engine.Job {
 		c := s.config()
-		c.Mem.MaxWPQAge = age
-		return c
+		c.Mem.MaxWPQAge = n
+		return on(core.PMEM, c)
 	}
-	var jobs []engine.Job
-	for _, k := range workload.Table2 {
-		for _, age := range WPQDrainAges {
-			jobs = append(jobs, s.job(k, core.PMEM, variant(age)))
-		}
+	var cols []column
+	for _, n := range WPQDrainAges {
+		cols = append(cols, column{fmt.Sprintf("age=%d", n), []engine.Job{age(48), age(n)}, cycleRatio})
 	}
-	if err := s.eng.RunAll(s.ctx, jobs); err != nil {
-		return nil, err
-	}
-	cols := make([]string, 0, len(WPQDrainAges))
-	for _, age := range WPQDrainAges {
-		cols = append(cols, fmt.Sprintf("age=%d", age))
-	}
-	tab := stats.NewTable("Ablation: PMEM cycles vs WPQ drain age (normalized to age=48)", "bench", benchRows(), cols)
-	for _, k := range workload.Table2 {
-		base, err := s.reportCell(s.job(k, core.PMEM, variant(48)))
-		if err != nil {
-			return nil, err
-		}
-		for _, age := range WPQDrainAges {
-			rep, err := s.reportCell(s.job(k, core.PMEM, variant(age)))
-			if err != nil {
-				return nil, err
-			}
-			if base == nil || rep == nil || base.Cycles == 0 {
-				tab.Set(k.Abbrev(), fmt.Sprintf("age=%d", age), math.NaN())
-				continue
-			}
-			tab.Set(k.Abbrev(), fmt.Sprintf("age=%d", age), float64(rep.Cycles)/float64(base.Cycles))
-		}
-	}
-	tab.AddGeoMeanRow()
-	return tab, nil
+	return s.table(table{title: "Ablation: PMEM cycles vs WPQ drain age (normalized to age=48)",
+		rows: s.benches(), cols: cols, geomean: true})
 }
-
-// Package-level wrappers (fresh single-ablation suite each; see the
-// figure wrappers in experiments.go).
-
-// PersistencyModels runs the persistency-model ablation.
-func PersistencyModels(opt Options) (*stats.Table, error) {
-	return NewSuite(nil, opt, nil).PersistencyModels()
-}
-
-// LLTSweep runs the LLT capacity ablation.
-func LLTSweep(opt Options) (*stats.Table, error) { return NewSuite(nil, opt, nil).LLTSweep() }
-
-// StaticVsDynamicFiltering runs the LLT-vs-compiler ablation.
-func StaticVsDynamicFiltering(opt Options) (*stats.Table, error) {
-	return NewSuite(nil, opt, nil).StaticVsDynamicFiltering()
-}
-
-// ATOMInFlightSweep runs the ATOM pipelining ablation.
-func ATOMInFlightSweep(opt Options) (*stats.Table, error) {
-	return NewSuite(nil, opt, nil).ATOMInFlightSweep()
-}
-
-// WPQSweep runs the WPQ capacity ablation.
-func WPQSweep(opt Options) (*stats.Table, error) { return NewSuite(nil, opt, nil).WPQSweep() }
-
-// WPQDrainSweep runs the WPQ drain-age ablation.
-func WPQDrainSweep(opt Options) (*stats.Table, error) { return NewSuite(nil, opt, nil).WPQDrainSweep() }

@@ -1,15 +1,17 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§6-§7): one function per figure/table, each returning the
-// same rows and series the paper plots. The per-experiment index lives in
-// DESIGN.md §4; measured-vs-paper numbers are recorded in EXPERIMENTS.md.
+// evaluation (§6-§7), plus the ablations in ablations.go. The
+// per-experiment index lives in DESIGN.md §4; measured-vs-paper numbers
+// are recorded in EXPERIMENTS.md.
 //
-// Figures declare their (workload, scheme, config) job matrix and hand it
-// to a shared simulation engine (internal/engine), which runs the jobs on
-// a bounded worker pool and memoizes each tuple; the figure then assembles
-// its table from the keyed results in a fixed order, so output is
-// byte-identical regardless of worker count. Sharing one Suite across
-// figures (as cmd/proteus-bench does) dedupes the many runs Figures
-// 6/7/8/11/12 and the ablations have in common.
+// Every experiment is a declaration: rows (a workload each) times
+// columns (the runs each cell reads and how its value follows from their
+// results). One runner hands the distinct (workload, scheme, config) jobs
+// to a shared simulation engine (internal/engine), which runs them on a
+// bounded worker pool and memoizes each tuple, then fills the cells from
+// the keyed results, so output is byte-identical regardless of worker
+// count. Sharing one Suite across figures (as cmd/proteus-bench does)
+// dedupes the many runs Figures 6/7/8/11/12 and the ablations have in
+// common.
 package experiments
 
 import (
@@ -105,76 +107,175 @@ func (s *Suite) config() config.Config {
 	return cfg
 }
 
-// job declares one Table 2 benchmark run.
-func (s *Suite) job(k workload.Kind, scheme core.Scheme, cfg config.Config) engine.Job {
-	return engine.Job{Kind: k, Params: s.opt.params(k), Scheme: scheme, Config: cfg}
+// row is one table row: the workload every run of its cells simulates.
+type row struct {
+	name   string
+	kind   workload.Kind
+	params workload.Params
 }
 
-// reportCell fetches one job's report for a table cell. A per-job
-// failure (timeout, simulation error) yields a nil report and nil error:
-// the cell stays missing (NaN, rendered "-") while the rest of the
-// figure renders from the survivors. Only suite-level cancellation
-// aborts the figure.
-func (s *Suite) reportCell(j engine.Job) (*stats.Report, error) {
-	res, err := s.eng.Run(s.ctx, j)
-	if err != nil {
-		if s.ctx.Err() != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	return res.Report, nil
+// job completes a run — scheme, machine and logging options — with the
+// row's workload.
+func (r row) job(run engine.Job) engine.Job {
+	run.Kind, run.Params = r.kind, r.params
+	return run
 }
 
-func benchRows() []string {
-	rows := make([]string, 0, len(workload.Table2))
+// benches returns one row per Table 2 benchmark.
+func (s *Suite) benches() []row {
+	rows := make([]row, 0, len(workload.Table2))
 	for _, k := range workload.Table2 {
-		rows = append(rows, k.Abbrev())
+		rows = append(rows, row{k.Abbrev(), k, s.opt.params(k)})
 	}
 	return rows
+}
+
+// column declares one table column: the runs each of its cells reads in
+// the row's workload, and the cell value computed from their results in
+// the same order.
+type column struct {
+	name  string
+	runs  []engine.Job
+	value func(rs []*engine.Result) float64
+}
+
+// table declares one figure or table.
+type table struct {
+	title   string
+	rowName string // header of the row names; "" means "bench"
+	rows    []row
+	cols    []column
+	format  string // cell format; "" keeps the stats default
+	geomean bool   // append a geomean row over the benchmarks
+}
+
+// on names a run of the scheme on the machine; the row adds the workload.
+func on(sc core.Scheme, cfg config.Config) engine.Job {
+	return engine.Job{Scheme: sc, Config: cfg}
+}
+
+// speedup is the second run's speedup over the first.
+func speedup(rs []*engine.Result) float64 { return rs[1].Report.Speedup(rs[0].Report) }
+
+// cycleRatio is the second run's cycles over the first's; NaN when the
+// first ran no cycles.
+func cycleRatio(rs []*engine.Result) float64 {
+	if rs[0].Report.Cycles == 0 {
+		return math.NaN()
+	}
+	return float64(rs[1].Report.Cycles) / float64(rs[0].Report.Cycles)
+}
+
+// missRate is the run's LLT miss rate in percent.
+func missRate(rs []*engine.Result) float64 { return rs[0].Report.LLTMissRate() }
+
+// run simulates every job the tables read, then fills their cells. The
+// distinct jobs go to one RunAll in row-major, first-seen order, and each
+// is read back once. A cell that reads a failed job is missing (NaN,
+// rendered "-"); the rest of the table renders from the survivors. Only
+// cancelling the suite aborts.
+func (s *Suite) run(decls ...table) ([]*stats.Table, error) {
+	var jobs []engine.Job
+	seen := make(map[engine.Job]bool)
+	for _, d := range decls {
+		for _, r := range d.rows {
+			for _, c := range d.cols {
+				for _, run := range c.runs {
+					if j := r.job(run); !seen[j] {
+						seen[j] = true
+						jobs = append(jobs, j)
+					}
+				}
+			}
+		}
+	}
+	if err := s.eng.RunAll(s.ctx, jobs); err != nil {
+		return nil, err
+	}
+	results := make(map[engine.Job]*engine.Result, len(jobs))
+	for _, j := range jobs {
+		res, err := s.eng.Run(s.ctx, j)
+		if err == nil {
+			results[j] = res
+		} else if s.ctx.Err() != nil {
+			return nil, err
+		}
+	}
+	tabs := make([]*stats.Table, len(decls))
+	for i, d := range decls {
+		tabs[i] = d.fill(results)
+	}
+	return tabs, nil
+}
+
+// table runs a single declared table.
+func (s *Suite) table(d table) (*stats.Table, error) {
+	tabs, err := s.run(d)
+	if err != nil {
+		return nil, err
+	}
+	return tabs[0], nil
+}
+
+// fill renders the declared table from the jobs' results; a job without
+// a result failed.
+func (d table) fill(results map[engine.Job]*engine.Result) *stats.Table {
+	rows := make([]string, len(d.rows))
+	for i, r := range d.rows {
+		rows[i] = r.name
+	}
+	cols := make([]string, len(d.cols))
+	for i, c := range d.cols {
+		cols[i] = c.name
+	}
+	rowName := d.rowName
+	if rowName == "" {
+		rowName = "bench"
+	}
+	tab := stats.NewTable(d.title, rowName, rows, cols)
+	if d.format != "" {
+		tab.Format = d.format
+	}
+	for i, r := range d.rows {
+		for k, c := range d.cols {
+			tab.Cells[i][k] = c.cell(r, results)
+		}
+	}
+	if d.geomean {
+		tab.AddGeoMeanRow()
+	}
+	return tab
+}
+
+// cell computes the column's value in the row: NaN when a job it reads
+// has no result.
+func (c column) cell(r row, results map[engine.Job]*engine.Result) float64 {
+	rs := make([]*engine.Result, len(c.runs))
+	for i, run := range c.runs {
+		if rs[i] = results[r.job(run)]; rs[i] == nil {
+			return math.NaN()
+		}
+	}
+	return c.value(rs)
+}
+
+// versus declares one column per scheme on cfg, named after the scheme;
+// each cell reads base, then the scheme's run.
+func versus(base engine.Job, cfg config.Config, value func([]*engine.Result) float64, schemes ...core.Scheme) []column {
+	cols := make([]column, 0, len(schemes))
+	for _, sc := range schemes {
+		cols = append(cols, column{sc.String(), []engine.Job{base, on(sc, cfg)}, value})
+	}
+	return cols
 }
 
 // speedupFigure runs the Figure 6/9/10 matrix on the given memory kind:
 // speedup of every scheme over the PMEM software-logging baseline.
 func (s *Suite) speedupFigure(kind config.MemKind, title string) (*stats.Table, error) {
 	cfg := s.config().WithMemKind(kind)
-	schemes := []core.Scheme{
-		core.PMEM, core.PMEMPcommit, core.ATOM,
-		core.ProteusNoLWR, core.Proteus, core.PMEMNoLog,
-	}
-	var jobs []engine.Job
-	for _, k := range workload.Table2 {
-		for _, sc := range schemes {
-			jobs = append(jobs, s.job(k, sc, cfg))
-		}
-	}
-	if err := s.eng.RunAll(s.ctx, jobs); err != nil {
-		return nil, err
-	}
-	cols := []string{
-		core.PMEMPcommit.String(), core.ATOM.String(),
-		core.ProteusNoLWR.String(), core.Proteus.String(), core.PMEMNoLog.String(),
-	}
-	tab := stats.NewTable(title, "bench", benchRows(), cols)
-	for _, k := range workload.Table2 {
-		base, err := s.reportCell(s.job(k, core.PMEM, cfg))
-		if err != nil {
-			return nil, err
-		}
-		for _, sc := range []core.Scheme{core.PMEMPcommit, core.ATOM, core.ProteusNoLWR, core.Proteus, core.PMEMNoLog} {
-			rep, err := s.reportCell(s.job(k, sc, cfg))
-			if err != nil {
-				return nil, err
-			}
-			if base == nil || rep == nil {
-				tab.Set(k.Abbrev(), sc.String(), math.NaN())
-				continue
-			}
-			tab.Set(k.Abbrev(), sc.String(), rep.Speedup(base))
-		}
-	}
-	tab.AddGeoMeanRow()
-	return tab, nil
+	cols := versus(on(core.PMEM, cfg), cfg, speedup,
+		core.PMEMPcommit, core.ATOM, core.ProteusNoLWR, core.Proteus, core.PMEMNoLog)
+	return s.table(table{title: title, rows: s.benches(), cols: cols, geomean: true})
 }
 
 // Figure6 reproduces the speedup comparison on (fast) NVMM with software
@@ -197,135 +298,48 @@ func (s *Suite) Figure10() (*stats.Table, error) {
 // normalized to PMEM+nolog.
 func (s *Suite) Figure7() (*stats.Table, error) {
 	cfg := s.config()
-	schemes := []core.Scheme{core.ATOM, core.Proteus, core.PMEMNoLog}
-	var jobs []engine.Job
-	for _, k := range workload.Table2 {
-		for _, sc := range schemes {
-			jobs = append(jobs, s.job(k, sc, cfg))
-		}
+	// A run that never stalls counts as 1 stall, on both sides, to keep
+	// the ratio and the geomean defined.
+	stalls := func(rs []*engine.Result) float64 {
+		n := func(r *engine.Result) float64 { return max(float64(r.Report.TotalFrontEndStalls()), 1) }
+		return n(rs[1]) / n(rs[0])
 	}
-	if err := s.eng.RunAll(s.ctx, jobs); err != nil {
-		return nil, err
-	}
-	cols := []string{core.ATOM.String(), core.Proteus.String(), core.PMEMNoLog.String()}
-	tab := stats.NewTable("Figure 7: front-end stall cycles (normalized to PMEM+nolog)", "bench", benchRows(), cols)
-	for _, k := range workload.Table2 {
-		ideal, err := s.reportCell(s.job(k, core.PMEMNoLog, cfg))
-		if err != nil {
-			return nil, err
-		}
-		base := 1.0
-		if ideal != nil && ideal.TotalFrontEndStalls() > 0 {
-			base = float64(ideal.TotalFrontEndStalls())
-		}
-		for _, sc := range schemes {
-			rep, err := s.reportCell(s.job(k, sc, cfg))
-			if err != nil {
-				return nil, err
-			}
-			if ideal == nil || rep == nil {
-				tab.Set(k.Abbrev(), sc.String(), math.NaN())
-				continue
-			}
-			stalls := float64(rep.TotalFrontEndStalls())
-			if stalls < 1 {
-				stalls = 1 // keep the geomean defined when a run never stalls
-			}
-			tab.Set(k.Abbrev(), sc.String(), stalls/base)
-		}
-	}
-	tab.AddGeoMeanRow()
-	return tab, nil
+	cols := versus(on(core.PMEMNoLog, cfg), cfg, stalls, core.ATOM, core.Proteus, core.PMEMNoLog)
+	return s.table(table{title: "Figure 7: front-end stall cycles (normalized to PMEM+nolog)",
+		rows: s.benches(), cols: cols, geomean: true})
 }
 
 // Figure8 reproduces the NVMM write comparison: writes normalized to
 // PMEM+nolog.
 func (s *Suite) Figure8() (*stats.Table, error) {
 	cfg := s.config()
-	schemes := []core.Scheme{core.PMEM, core.ATOM, core.Proteus, core.PMEMNoLog}
-	var jobs []engine.Job
-	for _, k := range workload.Table2 {
-		for _, sc := range schemes {
-			jobs = append(jobs, s.job(k, sc, cfg))
-		}
+	// A baseline without writes counts as 1 write.
+	writes := func(rs []*engine.Result) float64 {
+		return float64(rs[1].Report.MemStat.NVMWrites()) / max(float64(rs[0].Report.MemStat.NVMWrites()), 1)
 	}
-	if err := s.eng.RunAll(s.ctx, jobs); err != nil {
-		return nil, err
-	}
-	cols := []string{core.PMEM.String(), core.ATOM.String(), core.Proteus.String(), core.PMEMNoLog.String()}
-	tab := stats.NewTable("Figure 8: NVMM writes (normalized to PMEM+nolog)", "bench", benchRows(), cols)
-	for _, k := range workload.Table2 {
-		ideal, err := s.reportCell(s.job(k, core.PMEMNoLog, cfg))
-		if err != nil {
-			return nil, err
-		}
-		base := 1.0
-		if ideal != nil && ideal.MemStat.NVMWrites() > 0 {
-			base = float64(ideal.MemStat.NVMWrites())
-		}
-		for _, sc := range schemes {
-			rep, err := s.reportCell(s.job(k, sc, cfg))
-			if err != nil {
-				return nil, err
-			}
-			if ideal == nil || rep == nil {
-				tab.Set(k.Abbrev(), sc.String(), math.NaN())
-				continue
-			}
-			tab.Set(k.Abbrev(), sc.String(), float64(rep.MemStat.NVMWrites())/base)
-		}
-	}
-	tab.AddGeoMeanRow()
-	return tab, nil
+	cols := versus(on(core.PMEMNoLog, cfg), cfg, writes, core.PMEM, core.ATOM, core.Proteus, core.PMEMNoLog)
+	return s.table(table{title: "Figure 8: NVMM writes (normalized to PMEM+nolog)",
+		rows: s.benches(), cols: cols, geomean: true})
 }
 
 // LogQSizes is the Figure 11 sweep.
 var LogQSizes = []int{1, 2, 4, 8, 16, 32, 64}
 
+// logQSweep declares Proteus's speedup over PMEM on cfg for each LogQ size.
+func (s *Suite) logQSweep(title string, cfg config.Config, sizes []int) table {
+	var cols []column
+	for _, n := range sizes {
+		c := cfg
+		c.Proteus.LogQ = n
+		cols = append(cols, column{fmt.Sprintf("LogQ=%d", n), []engine.Job{on(core.PMEM, cfg), on(core.Proteus, c)}, speedup})
+	}
+	return table{title: title, rows: s.benches(), cols: cols, geomean: true}
+}
+
 // Figure11 reproduces the LogQ-size sensitivity: Proteus speedup over PMEM
 // for LogQ sizes 1-64.
 func (s *Suite) Figure11() (*stats.Table, error) {
-	cfg := s.config()
-	jobs := []engine.Job{}
-	variants := make(map[int]config.Config, len(LogQSizes))
-	for _, n := range LogQSizes {
-		c := cfg
-		c.Proteus.LogQ = n
-		variants[n] = c
-	}
-	for _, k := range workload.Table2 {
-		jobs = append(jobs, s.job(k, core.PMEM, cfg))
-		for _, n := range LogQSizes {
-			jobs = append(jobs, s.job(k, core.Proteus, variants[n]))
-		}
-	}
-	if err := s.eng.RunAll(s.ctx, jobs); err != nil {
-		return nil, err
-	}
-	cols := make([]string, 0, len(LogQSizes))
-	for _, n := range LogQSizes {
-		cols = append(cols, fmt.Sprintf("LogQ=%d", n))
-	}
-	tab := stats.NewTable("Figure 11: Proteus speedup vs LogQ size (baseline: PMEM)", "bench", benchRows(), cols)
-	for _, k := range workload.Table2 {
-		base, err := s.reportCell(s.job(k, core.PMEM, cfg))
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range LogQSizes {
-			rep, err := s.reportCell(s.job(k, core.Proteus, variants[n]))
-			if err != nil {
-				return nil, err
-			}
-			if base == nil || rep == nil {
-				tab.Set(k.Abbrev(), fmt.Sprintf("LogQ=%d", n), math.NaN())
-				continue
-			}
-			tab.Set(k.Abbrev(), fmt.Sprintf("LogQ=%d", n), rep.Speedup(base))
-		}
-	}
-	tab.AddGeoMeanRow()
-	return tab, nil
+	return s.table(s.logQSweep("Figure 11: Proteus speedup vs LogQ size (baseline: PMEM)", s.config(), LogQSizes))
 }
 
 // LPQSizes is the Figure 12 sweep (LogQ fixed at 16).
@@ -334,46 +348,14 @@ var LPQSizes = []int{16, 32, 64, 128, 256, 512}
 // Figure12 reproduces the LPQ-size sensitivity at LogQ=16.
 func (s *Suite) Figure12() (*stats.Table, error) {
 	cfg := s.config()
-	variants := make(map[int]config.Config, len(LPQSizes))
+	var cols []column
 	for _, n := range LPQSizes {
 		c := cfg
 		c.Mem.LPQ = n
-		variants[n] = c
+		cols = append(cols, column{fmt.Sprintf("LPQ=%d", n), []engine.Job{on(core.PMEM, cfg), on(core.Proteus, c)}, speedup})
 	}
-	var jobs []engine.Job
-	for _, k := range workload.Table2 {
-		jobs = append(jobs, s.job(k, core.PMEM, cfg))
-		for _, n := range LPQSizes {
-			jobs = append(jobs, s.job(k, core.Proteus, variants[n]))
-		}
-	}
-	if err := s.eng.RunAll(s.ctx, jobs); err != nil {
-		return nil, err
-	}
-	cols := make([]string, 0, len(LPQSizes))
-	for _, n := range LPQSizes {
-		cols = append(cols, fmt.Sprintf("LPQ=%d", n))
-	}
-	tab := stats.NewTable("Figure 12: Proteus speedup vs LPQ size, LogQ=16 (baseline: PMEM)", "bench", benchRows(), cols)
-	for _, k := range workload.Table2 {
-		base, err := s.reportCell(s.job(k, core.PMEM, cfg))
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range LPQSizes {
-			rep, err := s.reportCell(s.job(k, core.Proteus, variants[n]))
-			if err != nil {
-				return nil, err
-			}
-			if base == nil || rep == nil {
-				tab.Set(k.Abbrev(), fmt.Sprintf("LPQ=%d", n), math.NaN())
-				continue
-			}
-			tab.Set(k.Abbrev(), fmt.Sprintf("LPQ=%d", n), rep.Speedup(base))
-		}
-	}
-	tab.AddGeoMeanRow()
-	return tab, nil
+	return s.table(table{title: "Figure 12: Proteus speedup vs LPQ size, LogQ=16 (baseline: PMEM)",
+		rows: s.benches(), cols: cols, geomean: true})
 }
 
 // Table3Sizes is the large-transaction element sweep.
@@ -407,178 +389,62 @@ func (s *Suite) table3Params(n int) workload.Params {
 	return p
 }
 
-// Table3 runs the sweep.
+// Table3 runs the sweep. Its rows are the element counts; the Proteus
+// runs' log-op totals ride along in a second, unrendered table and are
+// divided into per-transaction counts here (NaN where the run failed).
 func (s *Suite) Table3() (*Table3Result, error) {
 	cfg := s.config()
-	schemes := []core.Scheme{core.PMEM, core.Proteus, core.PMEMNoLog}
-	var jobs []engine.Job
+	var rows []row
 	for _, n := range Table3Sizes {
-		for _, sc := range schemes {
-			jobs = append(jobs, engine.Job{Kind: workload.LinkedList, Params: s.table3Params(n), Scheme: sc, Config: cfg})
-		}
+		rows = append(rows, row{fmt.Sprint(n), workload.LinkedList, s.table3Params(n)})
 	}
-	if err := s.eng.RunAll(s.ctx, jobs); err != nil {
+	base, proteus := on(core.PMEM, cfg), on(core.Proteus, cfg)
+	logLoads := func(rs []*engine.Result) float64 {
+		var t uint64
+		for i := range rs[0].Report.CoreStat {
+			t += rs[0].Report.CoreStat[i].LogLoads
+		}
+		return float64(t)
+	}
+	flushes := func(rs []*engine.Result) float64 { return float64(rs[0].Report.TotalLogFlushes()) }
+	tabs, err := s.run(
+		table{title: "Table 3: speedups for large transactions (baseline: PMEM)", rowName: "txn size", rows: rows,
+			cols: []column{
+				{"Proteus", []engine.Job{base, proteus}, speedup},
+				{"PMEM+nolog(ideal)", []engine.Job{base, on(core.PMEMNoLog, cfg)}, speedup},
+			}},
+		table{rows: rows, cols: []column{{"entries", []engine.Job{proteus}, logLoads}, {"flushed", []engine.Job{proteus}, flushes}}},
+	)
+	if err != nil {
 		return nil, err
 	}
-	rows := make([]string, 0, len(Table3Sizes))
-	for _, n := range Table3Sizes {
-		rows = append(rows, fmt.Sprintf("%d", n))
-	}
-	res := &Table3Result{
-		Speedups:      stats.NewTable("Table 3: speedups for large transactions (baseline: PMEM)", "txn size", rows, []string{"Proteus", "PMEM+nolog(ideal)"}),
-		EntriesPerTxn: make(map[int]float64),
-		FlushedPerTxn: make(map[int]float64),
-	}
-	for _, n := range Table3Sizes {
-		p := s.table3Params(n)
-		job := func(sc core.Scheme) engine.Job {
-			return engine.Job{Kind: workload.LinkedList, Params: p, Scheme: sc, Config: cfg}
-		}
-		base, err := s.reportCell(job(core.PMEM))
-		if err != nil {
-			return nil, err
-		}
-		proteus, err := s.reportCell(job(core.Proteus))
-		if err != nil {
-			return nil, err
-		}
-		ideal, err := s.reportCell(job(core.PMEMNoLog))
-		if err != nil {
-			return nil, err
-		}
-		row := fmt.Sprintf("%d", n)
-		if base == nil || proteus == nil {
-			res.Speedups.Set(row, "Proteus", math.NaN())
-		} else {
-			res.Speedups.Set(row, "Proteus", proteus.Speedup(base))
-		}
-		if base == nil || ideal == nil {
-			res.Speedups.Set(row, "PMEM+nolog(ideal)", math.NaN())
-		} else {
-			res.Speedups.Set(row, "PMEM+nolog(ideal)", ideal.Speedup(base))
-		}
-		if proteus == nil {
-			res.EntriesPerTxn[n] = math.NaN()
-			res.FlushedPerTxn[n] = math.NaN()
-			continue
-		}
-		txns := float64(p.SimOps * s.opt.Threads)
-		var logLoads, flushes uint64
-		for i := range proteus.CoreStat {
-			logLoads += proteus.CoreStat[i].LogLoads
-			flushes += proteus.CoreStat[i].LogFlushes
-		}
-		res.EntriesPerTxn[n] = float64(logLoads) / txns
-		res.FlushedPerTxn[n] = float64(flushes) / txns
+	res := &Table3Result{Speedups: tabs[0], EntriesPerTxn: make(map[int]float64), FlushedPerTxn: make(map[int]float64)}
+	for i, n := range Table3Sizes {
+		txns := float64(rows[i].params.SimOps * s.opt.Threads)
+		res.EntriesPerTxn[n] = tabs[1].Cells[i][0] / txns
+		res.FlushedPerTxn[n] = tabs[1].Cells[i][1] / txns
 	}
 	return res, nil
 }
 
 // Table4 reproduces the LLT miss rates (64-entry LLT).
 func (s *Suite) Table4() (*stats.Table, error) {
-	cfg := s.config()
-	var jobs []engine.Job
-	for _, k := range workload.Table2 {
-		jobs = append(jobs, s.job(k, core.Proteus, cfg))
-	}
-	if err := s.eng.RunAll(s.ctx, jobs); err != nil {
-		return nil, err
-	}
-	tab := stats.NewTable("Table 4: LLT miss rate (%), 64-entry 8-way LLT", "bench", benchRows(), []string{"miss rate"})
-	tab.Format = "%8.1f"
-	for _, k := range workload.Table2 {
-		rep, err := s.reportCell(s.job(k, core.Proteus, cfg))
-		if err != nil {
-			return nil, err
-		}
-		if rep == nil {
-			tab.Set(k.Abbrev(), "miss rate", math.NaN())
-			continue
-		}
-		tab.Set(k.Abbrev(), "miss rate", rep.LLTMissRate())
-	}
-	return tab, nil
+	return s.table(table{title: "Table 4: LLT miss rate (%), 64-entry 8-way LLT", rows: s.benches(),
+		cols: []column{{"miss rate", []engine.Job{on(core.Proteus, s.config())}, missRate}}, format: "%8.1f"})
 }
 
 // LogQMemoryDelta reproduces the §7.2 observation: the speedup gained by
-// growing the LogQ from 8 to 16 entries on NVM vs on DRAM.
+// growing the LogQ from 8 to 16 entries on NVM vs on DRAM — the geomean
+// row of a two-column LogQ sweep on each memory kind.
 func (s *Suite) LogQMemoryDelta() (nvmDelta, dramDelta float64, err error) {
-	for i, kind := range []config.MemKind{config.NVMFast, config.DRAM} {
-		cfg := s.config().WithMemKind(kind)
-		variants := map[int]config.Config{}
-		var jobs []engine.Job
-		for _, n := range []int{8, 16} {
-			c := cfg
-			c.Proteus.LogQ = n
-			variants[n] = c
-			for _, k := range workload.Table2 {
-				jobs = append(jobs, s.job(k, core.PMEM, cfg), s.job(k, core.Proteus, c))
-			}
-		}
-		if err := s.eng.RunAll(s.ctx, jobs); err != nil {
-			return 0, 0, err
-		}
-		var sp [2]float64 // LogQ 8, 16 geomean speedups
-		for j, n := range []int{8, 16} {
-			var speedups []float64
-			for _, k := range workload.Table2 {
-				base, err := s.reportCell(s.job(k, core.PMEM, cfg))
-				if err != nil {
-					return 0, 0, err
-				}
-				rep, err := s.reportCell(s.job(k, core.Proteus, variants[n]))
-				if err != nil {
-					return 0, 0, err
-				}
-				if base == nil || rep == nil {
-					continue // failed run: geomean over the survivors
-				}
-				speedups = append(speedups, rep.Speedup(base))
-			}
-			sp[j] = stats.GeoMean(speedups)
-		}
-		if i == 0 {
-			nvmDelta = sp[1] - sp[0]
-		} else {
-			dramDelta = sp[1] - sp[0]
-		}
+	var decls []table
+	for _, kind := range []config.MemKind{config.NVMFast, config.DRAM} {
+		decls = append(decls, s.logQSweep("", s.config().WithMemKind(kind), []int{8, 16}))
 	}
-	return nvmDelta, dramDelta, nil
-}
-
-// ------------------------------------------------------------------------
-// Package-level wrappers: each runs on a fresh single-figure suite. Tools
-// that generate several figures should share one Suite instead, so common
-// tuples are simulated once.
-
-// Figure6 reproduces the NVMM speedup comparison (see Suite.Figure6).
-func Figure6(opt Options) (*stats.Table, error) { return NewSuite(nil, opt, nil).Figure6() }
-
-// Figure7 reproduces the front-end stall comparison (see Suite.Figure7).
-func Figure7(opt Options) (*stats.Table, error) { return NewSuite(nil, opt, nil).Figure7() }
-
-// Figure8 reproduces the NVMM write comparison (see Suite.Figure8).
-func Figure8(opt Options) (*stats.Table, error) { return NewSuite(nil, opt, nil).Figure8() }
-
-// Figure9 reproduces the slow-NVMM study (see Suite.Figure9).
-func Figure9(opt Options) (*stats.Table, error) { return NewSuite(nil, opt, nil).Figure9() }
-
-// Figure10 reproduces the DRAM study (see Suite.Figure10).
-func Figure10(opt Options) (*stats.Table, error) { return NewSuite(nil, opt, nil).Figure10() }
-
-// Figure11 reproduces the LogQ-size sensitivity (see Suite.Figure11).
-func Figure11(opt Options) (*stats.Table, error) { return NewSuite(nil, opt, nil).Figure11() }
-
-// Figure12 reproduces the LPQ-size sensitivity (see Suite.Figure12).
-func Figure12(opt Options) (*stats.Table, error) { return NewSuite(nil, opt, nil).Figure12() }
-
-// Table3 runs the large-transaction sweep (see Suite.Table3).
-func Table3(opt Options) (*Table3Result, error) { return NewSuite(nil, opt, nil).Table3() }
-
-// Table4 reproduces the LLT miss rates (see Suite.Table4).
-func Table4(opt Options) (*stats.Table, error) { return NewSuite(nil, opt, nil).Table4() }
-
-// LogQMemoryDelta reproduces the §7.2 delta (see Suite.LogQMemoryDelta).
-func LogQMemoryDelta(opt Options) (nvmDelta, dramDelta float64, err error) {
-	return NewSuite(nil, opt, nil).LogQMemoryDelta()
+	tabs, err := s.run(decls...)
+	if err != nil {
+		return 0, 0, err
+	}
+	delta := func(t *stats.Table) float64 { return t.Get("geomean", "LogQ=16") - t.Get("geomean", "LogQ=8") }
+	return delta(tabs[0]), delta(tabs[1]), nil
 }
