@@ -62,11 +62,10 @@ func main() {
 		traceEpoch = flag.Uint64("trace-epoch", trace.DefaultEpoch, "cycles between trace samples (with -trace-dir)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060")
 		storeDir   = flag.String("store", "", "persistent result store directory: reruns of identical tuples are answered from disk")
-		stepperSel = flag.String("stepper", "fast", "cycle-advance strategy: fast (event-driven fast-forward) or reference (per-cycle)")
 	)
+	var stepper core.Stepper
+	flag.TextVar(&stepper, "stepper", core.StepperFast, "cycle-advance strategy: fast (event-driven fast-forward) or reference (per-cycle)")
 	flag.Parse()
-	stepper, err := core.StepperByName(*stepperSel)
-	exitOn(err)
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			exitOn(err)

@@ -22,60 +22,49 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/crashcampaign"
 	"repro/internal/engine"
+	"repro/internal/enum"
 	"repro/internal/resultstore"
 	"repro/internal/workload"
 )
 
 func main() {
 	var (
-		benchList  = flag.String("bench", "all", "comma-separated benchmark abbrevs (QE, HM, SS, AT, BT, RT) or all")
-		schemeList = flag.String("scheme", "all", "comma-separated schemes or all (the failure-safe set); PMEM+nolog may be named explicitly")
+		benches []workload.Kind
+		schemes []core.Scheme
+		faults  []crashcampaign.Fault
+		mode    crashcampaign.MinimizeMode
+		stepper core.Stepper
+	)
+	enum.ListVar(&benches, "bench", "all", "comma-separated benchmark abbrevs (QE, HM, SS, AT, BT, RT) or all", workload.ParseKinds)
+	enum.ListVar(&schemes, "scheme", "all", "comma-separated schemes or all (the failure-safe set); PMEM+nolog may be named explicitly", core.ParseSchemes)
+	enum.ListVar(&faults, "faults", "clean", "fault models to inject: clean, torn, adrloss, corrupt, all (clean is always included)", crashcampaign.ParseFaults)
+	flag.Func("minimize", "which outcomes to minimize: failed, all, off (default failed)", func(s string) (err error) {
+		mode, err = crashcampaign.MinimizeModeByName(s)
+		return err
+	})
+	flag.TextVar(&stepper, "stepper", core.StepperFast, "cycle-advance strategy: fast (event-driven fast-forward) or reference (per-cycle)")
+	var (
 		sweep      = flag.Int("sweep", 64, "systematically spaced crash points per tuple")
 		randPts    = flag.Int("rand", 0, "additional seeded-random crash points per tuple")
-		faultsArg  = flag.String("faults", "clean", "fault models to inject: clean, torn, adrloss, corrupt, all (clean is always included)")
 		jobs       = flag.Int("jobs", 0, "concurrent simulation jobs (0 = GOMAXPROCS)")
 		jobTimeout = flag.Duration("timeout", 10*time.Minute, "wall-clock limit per tuple sweep (0 = none)")
 		out        = flag.String("out", "report.json", "report destination (- = stdout)")
 		artifacts  = flag.String("artifacts", "", "dump minimized-failure reproducers into this directory")
-		minimize   = flag.String("minimize", "failed", "which outcomes to minimize: failed, all, off")
 		threads    = flag.Int("threads", 2, "worker threads / cores")
 		simOps     = flag.Int("simops", 40, "timed operations per thread")
 		initOps    = flag.Int("initops", 256, "initialization operations per thread")
 		wseed      = flag.Int64("wseed", 11, "workload seed")
 		seed       = flag.Int64("seed", 1, "campaign seed: crash-point choice and per-line fault randomness")
 		storeDir   = flag.String("store", "", "persistent result store directory for the underlying simulations")
-		stepperSel = flag.String("stepper", "fast", "cycle-advance strategy: fast (event-driven fast-forward) or reference (per-cycle)")
 		verbose    = flag.Bool("v", false, "log engine job activity to stderr")
 	)
 	flag.Parse()
-
-	faults, err := crashcampaign.ParseFaults(*faultsArg)
-	exitOn(err)
-	benches, err := parseBenches(*benchList)
-	exitOn(err)
-	schemes, err := core.ParseSchemes(*schemeList)
-	exitOn(err)
-	var mode crashcampaign.MinimizeMode
-	switch *minimize {
-	case "failed":
-		mode = crashcampaign.MinimizeFailed
-	case "all":
-		mode = crashcampaign.MinimizeAll
-	case "off":
-		mode = crashcampaign.MinimizeOff
-	default:
-		exitOn(fmt.Errorf("unknown -minimize mode %q (failed, all, off)", *minimize))
-	}
-
-	stepper, err := core.StepperByName(*stepperSel)
-	exitOn(err)
 
 	engCfg := engine.Config{Workers: *jobs, JobTimeout: *jobTimeout, Stepper: stepper}
 	if *storeDir != "" {
@@ -142,21 +131,6 @@ func main() {
 	if rep.Totals.Failed > 0 {
 		os.Exit(1)
 	}
-}
-
-func parseBenches(s string) ([]workload.Kind, error) {
-	if strings.EqualFold(s, "all") {
-		return workload.Table2, nil
-	}
-	var out []workload.Kind
-	for _, name := range strings.Split(s, ",") {
-		k, err := workload.KindByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
 }
 
 func exitOn(err error) {

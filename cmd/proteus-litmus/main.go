@@ -30,32 +30,30 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crashcampaign"
+	"repro/internal/enum"
 	"repro/internal/litmus"
 	"repro/internal/resultstore"
 )
 
 func main() {
 	var (
-		programsArg = flag.String("programs", "all", "programs to sweep: all (full grammar), curated (CI subset), or a comma-separated list of program names like Ps:xy;x|y")
-		schemeList  = flag.String("scheme", "all", "comma-separated schemes or all (the failure-safe set)")
-		faultsArg   = flag.String("faults", "all", "fault models to inject: clean, torn, adrloss, corrupt, all (clean is always included)")
-		jobs        = flag.Int("jobs", 0, "concurrent case sweeps (0 = GOMAXPROCS)")
-		out         = flag.String("out", "-", "report destination (- = stdout)")
-		artifacts   = flag.String("artifacts", "", "dump divergence reproducers into this directory")
-		seed        = flag.Int64("seed", 1, "per-injection fault randomness seed")
-		stepperSel  = flag.String("stepper", "fast", "cycle-advance strategy: fast or reference")
-		quiet       = flag.Bool("q", false, "suppress the stderr summary")
+		programs []litmus.Program
+		schemes  []core.Scheme
+		faults   []crashcampaign.Fault
+		stepper  core.Stepper
+	)
+	enum.ListVar(&programs, "programs", "all", "programs to sweep: all (full grammar), curated (CI subset), or a comma-separated list of program names like Ps:xy;x|y", parsePrograms)
+	enum.ListVar(&schemes, "scheme", "all", "comma-separated schemes or all (the failure-safe set)", core.ParseSchemes)
+	enum.ListVar(&faults, "faults", "all", "fault models to inject: clean, torn, adrloss, corrupt, all (clean is always included)", crashcampaign.ParseFaults)
+	flag.TextVar(&stepper, "stepper", core.StepperFast, "cycle-advance strategy: fast or reference")
+	var (
+		jobs      = flag.Int("jobs", 0, "concurrent case sweeps (0 = GOMAXPROCS)")
+		out       = flag.String("out", "-", "report destination (- = stdout)")
+		artifacts = flag.String("artifacts", "", "dump divergence reproducers into this directory")
+		seed      = flag.Int64("seed", 1, "per-injection fault randomness seed")
+		quiet     = flag.Bool("q", false, "suppress the stderr summary")
 	)
 	flag.Parse()
-
-	programs, err := parsePrograms(*programsArg)
-	exitOn(err)
-	schemes, err := core.ParseSchemes(*schemeList)
-	exitOn(err)
-	faults, err := crashcampaign.ParseFaults(*faultsArg)
-	exitOn(err)
-	stepper, err := core.StepperByName(*stepperSel)
-	exitOn(err)
 
 	cfg := litmus.Config{
 		Programs:    programs,
@@ -100,22 +98,13 @@ func main() {
 	}
 }
 
+// parsePrograms resolves -programs: "curated", or a list of program
+// names in which "all" is the full grammar.
 func parsePrograms(s string) ([]litmus.Program, error) {
-	switch {
-	case strings.EqualFold(s, "all"):
-		return litmus.Enumerate(), nil
-	case strings.EqualFold(s, "curated"):
+	if strings.EqualFold(strings.TrimSpace(s), "curated") {
 		return litmus.Curated(), nil
 	}
-	var out []litmus.Program
-	for _, name := range strings.Split(s, ",") {
-		p, err := litmus.Parse(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
+	return enum.List(s, litmus.Enumerate(), litmus.Parse)
 }
 
 func totalStates(rep *litmus.Report) int {

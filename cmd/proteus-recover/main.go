@@ -81,8 +81,8 @@ func main() {
 			name = "adrloss"
 		}
 	}
-	fault, err := crashcampaign.FaultByName(name)
-	exitOn(err)
+	var fault crashcampaign.Fault
+	exitOn(fault.UnmarshalText([]byte(name)))
 	mask, err := parseMask(*faultMask)
 	exitOn(err)
 
@@ -153,12 +153,8 @@ func benchTarget(kind workload.Kind, scheme core.Scheme, p workload.Params) (*cr
 // benchmark under the recovery oracle, or a litmus program under its
 // scheme's ordering axioms.
 func artifactTarget(m *crashcampaign.ArtifactMeta) (*crashcampaign.Target, error) {
-	scheme, err := core.SchemeByName(m.Scheme)
-	if err != nil {
-		return nil, err
-	}
 	if kind, err := workload.KindByName(m.Source); err == nil {
-		tgt, _, err := benchTarget(kind, scheme, m.Params)
+		tgt, _, err := benchTarget(kind, m.Scheme, m.Params)
 		return tgt, err
 	}
 	prog, err := litmus.Parse(m.Source)
@@ -169,7 +165,7 @@ func artifactTarget(m *crashcampaign.ArtifactMeta) (*crashcampaign.Target, error
 	if err != nil {
 		return nil, err
 	}
-	return compiled.Target(scheme)
+	return compiled.Target(m.Scheme)
 }
 
 // replay replays the reproducer in dir, reports on w, and returns the

@@ -107,7 +107,7 @@ func main() {
 		}
 		coord = cluster.NewCoordinator(cconf)
 		janitorStop = make(chan struct{})
-		go coord.Janitor(0, janitorStop)
+		go coord.Janitor(janitorStop)
 		logger.Info("cluster coordinator enabled", "lease_ttl", leaseTTL.String(), "retry_budget", *retryBudget)
 	}
 

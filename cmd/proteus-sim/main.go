@@ -23,67 +23,43 @@ import (
 	"os/signal"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/resultstore"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
+	d := engine.DefaultSimSpec
+	var spec engine.SimSpec
+	var stepper core.Stepper
+	flag.StringVar(&spec.Bench, "bench", d.Bench, "benchmark: QE, HM, SS, AT, BT, RT, LL")
+	flag.StringVar(&spec.Scheme, "scheme", d.Scheme, "scheme: PMEM, PMEM+pcommit, PMEM+nolog, ATOM, Proteus, Proteus+NoLWR")
+	flag.StringVar(&spec.Mem, "mem", d.Mem, "memory kind: nvm-fast, nvm-slow, dram")
+	flag.IntVar(&spec.Threads, "threads", d.Threads, "worker threads / cores")
+	flag.IntVar(&spec.SimOps, "simops", 0, "timed operations per thread (0 = Table 2 / 25)")
+	flag.IntVar(&spec.InitOps, "initops", 0, "initialization operations per thread (0 = Table 2)")
+	flag.Int64Var(&spec.Seed, "seed", d.Seed, "workload seed")
+	flag.IntVar(&spec.LogQ, "logq", d.LogQ, "Proteus LogQ entries")
+	flag.IntVar(&spec.LPQ, "lpq", d.LPQ, "LPQ entries")
+	flag.TextVar(&stepper, "stepper", core.StepperFast, "cycle-advance strategy: fast (event-driven fast-forward) or reference (per-cycle)")
 	var (
-		benchName  = flag.String("bench", "QE", "benchmark: QE, HM, SS, AT, BT, RT, LL")
-		schemeName = flag.String("scheme", "Proteus", "scheme: PMEM, PMEM+pcommit, PMEM+nolog, ATOM, Proteus, Proteus+NoLWR")
-		memName    = flag.String("mem", "nvm-fast", "memory kind: nvm-fast, nvm-slow, dram")
-		threads    = flag.Int("threads", 4, "worker threads / cores")
-		simOps     = flag.Int("simops", 0, "timed operations per thread (0 = Table 2 / 25)")
-		initOps    = flag.Int("initops", 0, "initialization operations per thread (0 = Table 2)")
-		seed       = flag.Int64("seed", 42, "workload seed")
-		logQ       = flag.Int("logq", 16, "Proteus LogQ entries")
-		lpq        = flag.Int("lpq", 256, "LPQ entries")
 		jobTimeout = flag.Duration("timeout", 0, "wall-clock limit for the simulation, e.g. 10m (0 = none)")
 		traceOut   = flag.String("trace", "", "write an epoch-sampled JSONL trace of the run to this file")
 		traceEpoch = flag.Uint64("trace-epoch", trace.DefaultEpoch, "cycles between trace samples")
 		storeDir   = flag.String("store", "", "persistent result store directory: reruns of an identical tuple are answered from disk")
-		stepperSel = flag.String("stepper", "fast", "cycle-advance strategy: fast (event-driven fast-forward) or reference (per-cycle)")
 	)
 	flag.Parse()
 
-	kind, err := workload.KindByName(*benchName)
+	job, err := spec.Job()
 	exitOn(err)
-	scheme, err := core.SchemeByName(*schemeName)
-	exitOn(err)
-	stepper, err := core.StepperByName(*stepperSel)
-	exitOn(err)
-	memKind, err := config.ParseMemKind(*memName)
-	exitOn(err)
-
-	p := kind.DefaultParams(1)
-	p.Threads = *threads
-	p.Seed = *seed
-	if *simOps > 0 {
-		p.SimOps = *simOps
-	} else {
-		p.SimOps /= 25
-		if p.SimOps < 8 {
-			p.SimOps = 8
-		}
-	}
-	if *initOps > 0 {
-		p.InitOps = *initOps
-	}
-
-	cfg := config.Default().WithMemKind(memKind)
-	cfg.Cores = *threads
-	cfg.Proteus.LogQ = *logQ
-	cfg.Mem.LPQ = *lpq
+	p := job.Params
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	fmt.Printf("building %v: threads=%d init=%d sim=%d ...\n", kind, p.Threads, p.InitOps, p.SimOps)
+	fmt.Printf("building %v: threads=%d init=%d sim=%d ...\n", job.Kind, p.Threads, p.InitOps, p.SimOps)
 	econf := engine.Config{Workers: 1, JobTimeout: *jobTimeout, Stepper: stepper}
 	if *storeDir != "" {
 		st, err := resultstore.Open(*storeDir)
@@ -107,7 +83,7 @@ func main() {
 	}
 	eng := engine.New(econf)
 	start := time.Now()
-	res, err := eng.Run(ctx, engine.Job{Kind: kind, Params: p, Scheme: scheme, Config: cfg})
+	res, err := eng.Run(ctx, job)
 	exitOn(err)
 	if eng.Counters().StoreHits > 0 {
 		fmt.Printf("answered from result store in %v\n", time.Since(start).Round(time.Millisecond))
@@ -118,12 +94,13 @@ func main() {
 		fmt.Printf("trace written to %s (1 sample per %d cycles)\n", *traceOut, *traceEpoch)
 	}
 
-	printReport(kind, scheme, memKind, res.Report, p)
+	printReport(job, res.Report)
 }
 
-func printReport(kind workload.Kind, scheme core.Scheme, mem config.MemKind, rep *stats.Report, p workload.Params) {
+func printReport(job engine.Job, rep *stats.Report) {
+	p := job.Params
 	txns := uint64(p.SimOps * p.Threads)
-	fmt.Printf("\n%v / %v on %v\n", kind, scheme, mem)
+	fmt.Printf("\n%v / %v on %v\n", job.Kind, job.Scheme, job.Config.Mem.Kind)
 	fmt.Printf("  cycles            %12d  (%.0f per txn)\n", rep.Cycles, float64(rep.Cycles)/float64(p.SimOps))
 	fmt.Printf("  retired uops      %12d\n", rep.TotalRetired())
 	fmt.Printf("  transactions      %12d\n", txns)

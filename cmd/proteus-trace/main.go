@@ -28,9 +28,18 @@ import (
 
 func main() {
 	var (
-		benchName = flag.String("bench", "QE", "benchmark: QE, HM, SS, AT, BT, RT, LL")
-		schemeA   = flag.String("scheme", "PMEM", "scheme to expand")
-		schemeB   = flag.String("vs", "", "optional second scheme to compare against")
+		kind   workload.Kind
+		scheme core.Scheme
+		vs     []core.Scheme
+	)
+	flag.TextVar(&kind, "bench", workload.Queue, "benchmark: QE, HM, SS, AT, BT, RT, LL")
+	flag.TextVar(&scheme, "scheme", core.PMEM, "scheme to expand")
+	flag.Func("vs", "optional second scheme to compare against", func(s string) error {
+		other, err := core.SchemeByName(s)
+		vs = []core.Scheme{other}
+		return err
+	})
+	var (
 		dump      = flag.Int("dump", 0, "print the micro-ops of the first N transactions")
 		simOps    = flag.Int("simops", 32, "timed operations per thread")
 		threads   = flag.Int("threads", 1, "threads")
@@ -49,8 +58,6 @@ func main() {
 		return
 	}
 
-	kind, err := workload.KindByName(*benchName)
-	exitOn(err)
 	p := kind.DefaultParams(1)
 	p.Threads = *threads
 	p.SimOps = *simOps
@@ -63,13 +70,7 @@ func main() {
 	exitOn(err)
 
 	cfg := config.Default()
-	schemes := []string{*schemeA}
-	if *schemeB != "" {
-		schemes = append(schemes, *schemeB)
-	}
-	for _, name := range schemes {
-		scheme, err := core.SchemeByName(name)
-		exitOn(err)
+	for _, scheme := range append([]core.Scheme{scheme}, vs...) {
 		traces, err := logging.Generate(w, scheme, cfg)
 		exitOn(err)
 		tr := traces[0]

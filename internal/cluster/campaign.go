@@ -23,23 +23,19 @@ import (
 // the campaign with ErrQuarantined rather than wedging it.
 func RunCampaign(ctx context.Context, co *Coordinator, c crashcampaign.Config) (*crashcampaign.Report, error) {
 	c.Normalize()
-	faults := make([]string, len(c.Faults))
-	for i, f := range c.Faults {
-		faults[i] = f.String()
-	}
 	var ids []string
 	for _, bench := range c.Benches {
 		for _, scheme := range c.Schemes {
 			w := TupleWork{
-				Bench:    bench.Abbrev(),
-				Scheme:   scheme.String(),
+				Bench:    bench,
+				Scheme:   scheme,
 				Params:   c.Params,
 				Sim:      c.Sim,
 				Sweep:    c.Sweep,
 				Rand:     c.Rand,
-				Faults:   faults,
+				Faults:   c.Faults,
 				Seed:     c.Seed,
-				Minimize: int(c.Minimize),
+				Minimize: c.Minimize,
 			}
 			payload, err := json.Marshal(w)
 			if err != nil {
@@ -50,7 +46,7 @@ func RunCampaign(ctx context.Context, co *Coordinator, c crashcampaign.Config) (
 			// tuple's natural home already holds (or will hold) its cache
 			// entry.
 			job := engine.Job{Kind: bench, Params: c.Params, Scheme: scheme, Config: c.Sim}
-			ids = append(ids, co.Enqueue(KindCampaignTuple, payload, job.Fingerprint(), nil))
+			ids = append(ids, co.Enqueue(KindCampaignTuple, payload, job.Fingerprint()))
 		}
 	}
 	tuples := make([]*crashcampaign.TupleReport, 0, len(ids))
@@ -73,20 +69,19 @@ func RunCampaign(ctx context.Context, co *Coordinator, c crashcampaign.Config) (
 // into the shared result store, so repeated submissions are answered
 // without re-simulating anywhere.
 func RunSim(ctx context.Context, co *Coordinator, j engine.Job) (*engine.Result, error) {
-	payload, err := json.Marshal(NewSimWork(j))
+	payload, err := json.Marshal(j)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encoding sim work: %w", err)
 	}
-	id := co.Enqueue(KindSim, payload, j.Fingerprint(), nil)
-	raw, err := co.Wait(ctx, id)
+	raw, err := co.Wait(ctx, co.Enqueue(KindSim, payload, j.Fingerprint()))
 	if err != nil {
 		return nil, err
 	}
-	var out SimOutcome
-	if err := json.Unmarshal(raw, &out); err != nil {
+	var res engine.Result
+	if err := json.Unmarshal(raw, &res); err != nil {
 		return nil, fmt.Errorf("cluster: decoding sim outcome: %w", err)
 	}
-	return &engine.Result{Report: out.Report, EmittedLogFlushes: out.EmittedLogFlushes}, nil
+	return &res, nil
 }
 
 // PublishToStore returns a Coordinator Publish hook that writes completed
@@ -99,18 +94,12 @@ func PublishToStore(store engine.ResultStore, log *slog.Logger) func(kind string
 		if kind != KindSim || store == nil {
 			return
 		}
-		var w SimWork
-		var out SimOutcome
-		if json.Unmarshal(payload, &w) != nil || json.Unmarshal(result, &out) != nil || out.Report == nil {
+		var j engine.Job
+		var res engine.Result
+		if json.Unmarshal(payload, &j) != nil || json.Unmarshal(result, &res) != nil || res.Report == nil {
 			return
 		}
-		j, err := w.Job()
-		if err != nil {
-			return
-		}
-		if err := store.Store(j.Fingerprint(), j, &engine.Result{
-			Report: out.Report, EmittedLogFlushes: out.EmittedLogFlushes,
-		}); err != nil && log != nil {
+		if err := store.Store(j.Fingerprint(), j, &res); err != nil && log != nil {
 			log.Warn("publishing worker result", "job", j.String(), "err", err.Error())
 		}
 	}

@@ -332,7 +332,7 @@ func TestQuarantinePoisonedItem(t *testing.T) {
 
 	// A sim item naming an unknown benchmark fails compilation on every
 	// worker that tries it: the canonical poisoned job.
-	id := co.Enqueue(KindSim, json.RawMessage(`{"bench":"NOPE","scheme":"Proteus"}`), "deadbeef", nil)
+	id := co.Enqueue(KindSim, json.RawMessage(`{"bench":"NOPE","scheme":"Proteus"}`), "deadbeef")
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	_, err := co.Wait(ctx, id)
@@ -367,7 +367,7 @@ func TestLeaseExpiryRequeuesAndStaleCompletionIsDropped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	id := co.Enqueue(KindSim, json.RawMessage(`{}`), "cafe", nil)
+	id := co.Enqueue(KindSim, json.RawMessage(`{}`), "cafe")
 	got, err := co.Lease("w1", 1)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("w1 lease = (%v, %v), want the item", got, err)
@@ -423,7 +423,7 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	if err := co.Register("w1"); err != nil {
 		t.Fatal(err)
 	}
-	id := co.Enqueue(KindSim, json.RawMessage(`{}`), "beef", nil)
+	id := co.Enqueue(KindSim, json.RawMessage(`{}`), "beef")
 	if got, _ := co.Lease("w1", 1); len(got) != 1 {
 		t.Fatal("lease failed")
 	}
@@ -475,9 +475,9 @@ func TestRingLocalityAndStability(t *testing.T) {
 	}
 }
 
-// TestSimWorkRoundTrip: the wire form reconstructs a job with the same
-// fingerprint, so ring placement, memo keys and store keys all agree
-// across the network hop.
+// TestSimWorkRoundTrip: a sim item's payload, the engine.Job's JSON
+// encoding, decodes to a job with the same fingerprint, so ring
+// placement, memo keys and store keys all agree across the network hop.
 func TestSimWorkRoundTrip(t *testing.T) {
 	cfg := config.Default()
 	cfg.Cores = 2
@@ -487,16 +487,12 @@ func TestSimWorkRoundTrip(t *testing.T) {
 		Scheme: core.ATOM,
 		Config: cfg,
 	}
-	data, err := json.Marshal(NewSimWork(j))
+	data, err := json.Marshal(j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w SimWork
-	if err := json.Unmarshal(data, &w); err != nil {
-		t.Fatal(err)
-	}
-	back, err := w.Job()
-	if err != nil {
+	var back engine.Job
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Fingerprint() != j.Fingerprint() {
@@ -508,9 +504,9 @@ func TestSimWorkRoundTrip(t *testing.T) {
 // retry budget.
 func TestEnqueueDeduplicates(t *testing.T) {
 	co := NewCoordinator(Config{})
-	a := co.Enqueue(KindSim, json.RawMessage(`{"bench":"QE"}`), "aa", nil)
-	b := co.Enqueue(KindSim, json.RawMessage(`{"bench":"QE"}`), "aa", nil)
-	c := co.Enqueue(KindSim, json.RawMessage(`{"bench":"HM"}`), "bb", nil)
+	a := co.Enqueue(KindSim, json.RawMessage(`{"bench":"QE"}`), "aa")
+	b := co.Enqueue(KindSim, json.RawMessage(`{"bench":"QE"}`), "aa")
+	c := co.Enqueue(KindSim, json.RawMessage(`{"bench":"HM"}`), "bb")
 	if a != b {
 		t.Errorf("identical payloads got distinct items %s / %s", a, b)
 	}
@@ -548,7 +544,7 @@ func TestBackoffShiftClampAtHighRetryBudget(t *testing.T) {
 	if err := co.Register("w1"); err != nil {
 		t.Fatal(err)
 	}
-	id := co.Enqueue(KindSim, json.RawMessage(`{}`), "feed", nil)
+	id := co.Enqueue(KindSim, json.RawMessage(`{}`), "feed")
 
 	// Burn attempts 1..30: lease, fail, and skip far past any backoff.
 	for i := 0; i < 30; i++ {

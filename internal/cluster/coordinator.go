@@ -88,8 +88,6 @@ type item struct {
 	result json.RawMessage
 	err    error
 	done   chan struct{}
-
-	onDone func(result json.RawMessage) // optional completion hook (store publish)
 }
 
 // workerState tracks one registered worker.
@@ -120,15 +118,6 @@ type Config struct {
 	BackoffMax  time.Duration
 	// MaxBatch caps how many items one lease call can grant; <= 0 means 8.
 	MaxBatch int
-	// VirtualNodes is the per-worker vnode count on the hash ring;
-	// <= 0 means 64.
-	VirtualNodes int
-	// EvictAfterMissed evicts a worker after this many missed heartbeat
-	// periods (LeaseTTL/3) of silence. It is an alternative spelling of
-	// WorkerTTL and is ignored when WorkerTTL is set explicitly; <= 0
-	// falls back to the WorkerTTL default (3 × LeaseTTL, i.e. 9 missed
-	// heartbeats).
-	EvictAfterMissed int
 	// BackoffJitter spreads requeue backoffs: attempt n waits a duration
 	// drawn from [b×(1−BackoffJitter), b] where b is the clamped
 	// exponential delay, so a batch of items requeued together does not
@@ -193,11 +182,7 @@ func NewCoordinator(conf Config) *Coordinator {
 		conf.LeaseTTL = 10 * time.Second
 	}
 	if conf.WorkerTTL <= 0 {
-		if conf.EvictAfterMissed > 0 {
-			conf.WorkerTTL = time.Duration(conf.EvictAfterMissed) * (conf.LeaseTTL / 3)
-		} else {
-			conf.WorkerTTL = 3 * conf.LeaseTTL
-		}
+		conf.WorkerTTL = 3 * conf.LeaseTTL
 	}
 	if conf.BackoffJitter == 0 {
 		conf.BackoffJitter = 0.2
@@ -218,9 +203,6 @@ func NewCoordinator(conf Config) *Coordinator {
 	if conf.MaxBatch <= 0 {
 		conf.MaxBatch = 8
 	}
-	if conf.VirtualNodes <= 0 {
-		conf.VirtualNodes = 64
-	}
 	if conf.Logger == nil {
 		conf.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -232,7 +214,7 @@ func NewCoordinator(conf Config) *Coordinator {
 		log:     conf.Logger,
 		items:   make(map[string]*item),
 		workers: make(map[string]*workerState),
-		ring:    newRing(conf.VirtualNodes),
+		ring:    newRing(virtualNodes),
 	}
 }
 
@@ -248,11 +230,10 @@ func itemID(kind string, payload []byte) string {
 }
 
 // Enqueue admits one work item. fp is the placement fingerprint (ring
-// key); onDone, when non-nil, runs once on the coordinator when the item
-// completes. Identical (kind, payload) submissions share one item — and
-// one retry budget — like the serving layer's singleflight. It returns
-// the item id to Wait on.
-func (c *Coordinator) Enqueue(kind string, payload json.RawMessage, fp string, onDone func(json.RawMessage)) string {
+// key). Identical (kind, payload) submissions share one item — and one
+// retry budget — like the serving layer's singleflight. It returns the
+// item id to Wait on.
+func (c *Coordinator) Enqueue(kind string, payload json.RawMessage, fp string) string {
 	id := itemID(kind, payload)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -260,11 +241,10 @@ func (c *Coordinator) Enqueue(kind string, payload json.RawMessage, fp string, o
 		return id
 	}
 	c.items[id] = &item{
-		Item:   Item{ID: id, Kind: kind, Payload: payload},
-		fp:     fp,
-		state:  ItemPending,
-		done:   make(chan struct{}),
-		onDone: onDone,
+		Item:  Item{ID: id, Kind: kind, Payload: payload},
+		fp:    fp,
+		state: ItemPending,
+		done:  make(chan struct{}),
 	}
 	c.order = append(c.order, id)
 	return id
@@ -447,13 +427,9 @@ func (c *Coordinator) Complete(workerName, id string, result, stamp json.RawMess
 	it.worker = ""
 	c.completed++
 	w.completed++
-	onDone := it.onDone
 	close(it.done)
 	c.mu.Unlock()
 	c.log.Info("item done", "item", id, "worker", workerName)
-	if onDone != nil {
-		onDone(result)
-	}
 	if c.conf.Publish != nil {
 		c.conf.Publish(it.Kind, it.Payload, result)
 	}
@@ -528,13 +504,10 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 	}
 }
 
-// Janitor runs the expiry sweep every interval until stop is closed, so
-// leases are reclaimed even while no worker is calling in.
-func (c *Coordinator) Janitor(interval time.Duration, stop <-chan struct{}) {
-	if interval <= 0 {
-		interval = c.conf.LeaseTTL / 2
-	}
-	t := time.NewTicker(interval)
+// Janitor runs the expiry sweep every LeaseTTL/2 until stop is closed,
+// so leases are reclaimed even while no worker is calling in.
+func (c *Coordinator) Janitor(stop <-chan struct{}) {
+	t := time.NewTicker(c.conf.LeaseTTL / 2)
 	defer t.Stop()
 	for {
 		select {

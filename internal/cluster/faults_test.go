@@ -23,7 +23,7 @@ import (
 // it off the ring.
 func TestStrictRegistrationRejectsUnknownWorker(t *testing.T) {
 	co := NewCoordinator(Config{})
-	co.Enqueue(KindSim, json.RawMessage(`{}`), "aa", nil)
+	co.Enqueue(KindSim, json.RawMessage(`{}`), "aa")
 
 	if _, err := co.Lease("ghost", 1); !errors.Is(err, ErrUnknownWorker) {
 		t.Fatalf("Lease from unregistered worker = %v, want ErrUnknownWorker", err)
@@ -146,11 +146,11 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 		Scheme: core.Proteus,
 		Config: cfg,
 	}
-	payload, err := json.Marshal(NewSimWork(job))
+	payload, err := json.Marshal(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := co2.Enqueue(KindSim, payload, job.Fingerprint(), nil)
+	id := co2.Enqueue(KindSim, payload, job.Fingerprint())
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -158,7 +158,7 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("item never completed after coordinator restart: %v", err)
 	}
-	var out SimOutcome
+	var out engine.Result
 	if err := json.Unmarshal(res, &out); err != nil || out.Report == nil {
 		t.Fatalf("result after restart = %s (%v), want a sim outcome", res, err)
 	}
@@ -172,15 +172,15 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 }
 
 // TestSilentWorkerIsEvicted: a worker that stops heartbeating is dropped
-// from the ring after EvictAfterMissed heartbeat periods and must
-// re-register before it can lease again.
+// from the ring after WorkerTTL of silence and must re-register before it
+// can lease again.
 func TestSilentWorkerIsEvicted(t *testing.T) {
 	now := time.Unix(4000, 0)
 	clock := &now
 	co := NewCoordinator(Config{
-		LeaseTTL:         9 * time.Second,
-		EvictAfterMissed: 3, // 3 × (9s/3) = 9s of silence
-		now:              func() time.Time { return *clock },
+		LeaseTTL:  9 * time.Second,
+		WorkerTTL: 9 * time.Second,
+		now:       func() time.Time { return *clock },
 	})
 	if err := co.Register("w1"); err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestRequeueBackoffJitterDeterministic(t *testing.T) {
 		if err := co.Register("w1"); err != nil {
 			t.Fatal(err)
 		}
-		id := co.Enqueue(KindSim, json.RawMessage(`{}`), "aa", nil)
+		id := co.Enqueue(KindSim, json.RawMessage(`{}`), "aa")
 		if got, err := co.Lease("w1", 1); err != nil || len(got) != 1 {
 			t.Fatalf("lease = (%v, %v)", got, err)
 		}

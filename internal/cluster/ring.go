@@ -21,6 +21,10 @@ type ring struct {
 	points []ringPoint // sorted by hash
 }
 
+// virtualNodes is how many points each worker owns on a coordinator's
+// ring.
+const virtualNodes = 64
+
 type ringPoint struct {
 	hash   uint64
 	worker string

@@ -33,20 +33,15 @@ import (
 func completionLeaf(kind string, payload, result json.RawMessage) (ledger.Leaf, error) {
 	switch kind {
 	case KindSim:
-		var w SimWork
-		if err := json.Unmarshal(payload, &w); err != nil {
+		var j engine.Job
+		if err := json.Unmarshal(payload, &j); err != nil {
 			return ledger.Leaf{}, fmt.Errorf("cluster: decoding sim work: %w", err)
 		}
-		j, err := w.Job()
-		if err != nil {
-			return ledger.Leaf{}, err
-		}
-		var out SimOutcome
-		if err := json.Unmarshal(result, &out); err != nil {
+		var res engine.Result
+		if err := json.Unmarshal(result, &res); err != nil {
 			return ledger.Leaf{}, fmt.Errorf("cluster: decoding sim outcome: %w", err)
 		}
-		return ledger.ResultLeaf(j.Fingerprint(), j,
-			&engine.Result{Report: out.Report, EmittedLogFlushes: out.EmittedLogFlushes})
+		return ledger.ResultLeaf(j.Fingerprint(), j, &res)
 	default:
 		h := sha256.Sum256(result)
 		return ledger.Leaf{

@@ -10,7 +10,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strings"
+
+	"repro/internal/enum"
 )
 
 // MemKind selects the main-memory device model.
@@ -38,20 +39,12 @@ func (k MemKind) String() string {
 	return fmt.Sprintf("MemKind(%d)", int(k))
 }
 
+var memKinds = enum.Names[MemKind]{What: "memory kind", Values: []MemKind{NVMFast, NVMSlow, DRAM}}
+
 // ParseMemKind resolves a memory kind by name, case-insensitively
-// ("nvm-fast"/"nvm", "nvm-slow"/"slow", "dram"). It is the shared parser
-// for every CLI flag and HTTP job spec naming a memory kind.
-func ParseMemKind(s string) (MemKind, error) {
-	switch strings.ToLower(s) {
-	case "nvm-fast", "nvm":
-		return NVMFast, nil
-	case "nvm-slow", "slow":
-		return NVMSlow, nil
-	case "dram":
-		return DRAM, nil
-	}
-	return 0, fmt.Errorf("config: unknown memory kind %q (want nvm-fast, nvm-slow, dram)", s)
-}
+// (nvm-fast, nvm-slow, dram). MemKind has no text encoding: a Config
+// encodes its memory kind as the integer.
+func ParseMemKind(s string) (MemKind, error) { return memKinds.Lookup(s) }
 
 // Core holds the out-of-order core parameters (Table 1, Processor row).
 type Core struct {

@@ -8,11 +8,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/cpu"
+	"repro/internal/enum"
 	"repro/internal/isa"
 	"repro/internal/memctrl"
 	"repro/internal/nvm"
@@ -65,17 +65,11 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("Scheme(%d)", int(s))
 }
 
+var schemes = enum.Names[Scheme]{What: "scheme", Values: Schemes, All: FailureSafeSchemes()}
+
 // SchemeByName resolves a scheme by its display name, case-insensitively
-// ("proteus", "PMEM+pcommit", ...). It is the inverse of String and the
-// shared parser for every CLI flag and HTTP job spec naming a scheme.
-func SchemeByName(name string) (Scheme, error) {
-	for _, s := range Schemes {
-		if strings.EqualFold(s.String(), name) {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown scheme %q (want one of %v)", name, Schemes)
-}
+// ("proteus", "PMEM+pcommit", ...).
+func SchemeByName(name string) (Scheme, error) { return schemes.Lookup(name) }
 
 // FailureSafeSchemes returns the schemes that claim failure safety, in
 // presentation order: the default set of every crash-consistency sweep.
@@ -91,20 +85,13 @@ func FailureSafeSchemes() []Scheme {
 
 // ParseSchemes parses a comma-separated scheme list; "all" means the
 // failure-safe set.
-func ParseSchemes(list string) ([]Scheme, error) {
-	if strings.EqualFold(list, "all") {
-		return FailureSafeSchemes(), nil
-	}
-	var out []Scheme
-	for _, name := range strings.Split(list, ",") {
-		s, err := SchemeByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
+func ParseSchemes(list string) ([]Scheme, error) { return schemes.List(list) }
+
+// MarshalText encodes a scheme as its display name.
+func (s Scheme) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText decodes a scheme's display name, case-insensitively.
+func (s *Scheme) UnmarshalText(text []byte) error { return schemes.Unmarshal(s, text) }
 
 // Mode returns the core execution mode the scheme needs.
 func (s Scheme) Mode() cpu.Mode {
@@ -154,17 +141,14 @@ func (st Stepper) String() string {
 	return fmt.Sprintf("Stepper(%d)", int(st))
 }
 
-// StepperByName resolves a stepper by name ("fast" or "reference"); the
-// shared parser for CLI flags and job specs.
-func StepperByName(name string) (Stepper, error) {
-	switch strings.ToLower(name) {
-	case "", "fast":
-		return StepperFast, nil
-	case "reference", "ref":
-		return StepperReference, nil
-	}
-	return 0, fmt.Errorf("core: unknown stepper %q (want fast or reference)", name)
-}
+var steppers = enum.Names[Stepper]{What: "stepper", Values: []Stepper{StepperFast, StepperReference}}
+
+// MarshalText encodes a stepper as its name.
+func (st Stepper) MarshalText() ([]byte, error) { return []byte(st.String()), nil }
+
+// UnmarshalText decodes a stepper name ("fast" or "reference"),
+// case-insensitively.
+func (st *Stepper) UnmarshalText(text []byte) error { return steppers.Unmarshal(st, text) }
 
 // System is one assembled machine executing a fixed set of traces.
 type System struct {

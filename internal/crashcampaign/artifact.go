@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/nvm"
 	"repro/internal/workload"
 )
@@ -29,11 +30,11 @@ const ReplayCommand = "proteus-recover -replay "
 type ArtifactMeta struct {
 	// Source is a benchmark abbreviation or a litmus program name.
 	Source            string          `json:"source"`
-	Scheme            string          `json:"scheme"`
+	Scheme            core.Scheme     `json:"scheme"`
 	Params            workload.Params `json:"params"`
 	ConfigFingerprint string          `json:"config_fingerprint"`
 	Seed              int64           `json:"seed"`
-	Fault             string          `json:"fault"`
+	Fault             Fault           `json:"fault"`
 	FaultSeed         uint64          `json:"fault_seed"`
 	Cycle             uint64          `json:"cycle"`
 	OriginalCycle     uint64          `json:"original_cycle"`
@@ -79,11 +80,11 @@ func (t *Target) WriteArtifact(root string, inj Injection, origCycle uint64) (*A
 	out, detail := t.Classify(img, inj.Fault, committed)
 	m := &ArtifactMeta{
 		Source:            t.Source,
-		Scheme:            t.Scheme.String(),
+		Scheme:            t.Scheme,
 		Params:            t.Params,
 		ConfigFingerprint: t.Sim.Fingerprint(),
 		Seed:              t.Seed,
-		Fault:             inj.Fault.String(),
+		Fault:             inj.Fault,
 		FaultSeed:         inj.Seed,
 		Cycle:             inj.Cycle,
 		OriginalCycle:     origCycle,
@@ -163,17 +164,13 @@ type ReplayResult struct {
 // 0, compares the rebuilt crash image with the stored one, and classifies
 // it again. The target must be the one the artifact's meta describes.
 func (t *Target) Replay(a *Artifact) (*ReplayResult, error) {
-	fault, err := FaultByName(a.Meta.Fault)
-	if err != nil {
-		return nil, err
-	}
-	inj := Injection{Fault: fault, Cycle: a.Meta.Cycle, Seed: a.Meta.FaultSeed, Mask: a.Meta.Mask}
+	inj := Injection{Fault: a.Meta.Fault, Cycle: a.Meta.Cycle, Seed: a.Meta.FaultSeed, Mask: a.Meta.Mask}
 	img, raw, committed, err := t.crash(inj)
 	if err != nil {
 		return nil, err
 	}
 	r := &ReplayResult{ImageMatches: bytes.Equal(raw, a.Image), Committed: committed}
-	r.Outcome, r.Detail = t.Classify(img, fault, committed)
+	r.Outcome, r.Detail = t.Classify(img, inj.Fault, committed)
 	r.Reproduced = r.ImageMatches && r.Outcome == a.Meta.Outcome
 	return r, nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/enum"
 	"repro/internal/nvm"
 	"repro/internal/workload"
 )
@@ -26,6 +27,23 @@ const (
 	// MinimizeOff disables minimization.
 	MinimizeOff
 )
+
+var minimizeModes = enum.Names[MinimizeMode]{
+	What:   "minimize mode",
+	Values: []MinimizeMode{MinimizeFailed, MinimizeAll, MinimizeOff},
+}
+
+func (m MinimizeMode) String() string {
+	if names := [...]string{"failed", "all", "off"}; m >= 0 && int(m) < len(names) {
+		return names[m]
+	}
+	return fmt.Sprintf("MinimizeMode(%d)", int(m))
+}
+
+// MinimizeModeByName resolves a minimize mode by name (failed, all, off),
+// case-insensitively. MinimizeMode has no text encoding: cluster tuple
+// payloads carry it as the integer.
+func MinimizeModeByName(name string) (MinimizeMode, error) { return minimizeModes.Lookup(name) }
 
 // Config describes a campaign.
 type Config struct {

@@ -189,10 +189,7 @@ func TestMinimizerProducesReproducer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheme, err := core.SchemeByName(a.Meta.Scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scheme := a.Meta.Scheme
 	wl, err := workload.Build(kind, a.Meta.Params)
 	if err != nil {
 		t.Fatal(err)

@@ -23,9 +23,9 @@ import (
 	"hash/fnv"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
+	"repro/internal/enum"
 	"repro/internal/isa"
 	"repro/internal/memctrl"
 	"repro/internal/nvm"
@@ -64,15 +64,13 @@ func (f Fault) String() string {
 	return fmt.Sprintf("Fault(%d)", int(f))
 }
 
-// FaultByName resolves a fault model by its name.
-func FaultByName(name string) (Fault, error) {
-	for _, f := range AllFaults {
-		if f.String() == name {
-			return f, nil
-		}
-	}
-	return 0, fmt.Errorf("crashcampaign: unknown fault %q (have clean, torn, adrloss, corrupt)", name)
-}
+var faultModels = enum.Names[Fault]{What: "fault", Values: AllFaults, All: AllFaults}
+
+// MarshalText encodes a fault model as its name.
+func (f Fault) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
+
+// UnmarshalText decodes a fault model's name, case-insensitively.
+func (f *Fault) UnmarshalText(text []byte) error { return faultModels.Unmarshal(f, text) }
 
 // NormalizeFaults returns the fault list a sweep injects: FaultClean, the
 // baseline every sweep needs, then each other listed model once, in
@@ -91,19 +89,9 @@ func NormalizeFaults(fs []Fault) []Fault {
 // ParseFaults parses a comma-separated fault list ("torn,adrloss", or
 // "all") into its normalized form.
 func ParseFaults(s string) ([]Fault, error) {
-	var fs []Fault
-	for _, name := range strings.Split(s, ",") {
-		switch name = strings.TrimSpace(name); name {
-		case "":
-		case "all":
-			fs = append(fs, AllFaults...)
-		default:
-			f, err := FaultByName(name)
-			if err != nil {
-				return nil, err
-			}
-			fs = append(fs, f)
-		}
+	fs, err := faultModels.List(s)
+	if err != nil {
+		return nil, err
 	}
 	return NormalizeFaults(fs), nil
 }

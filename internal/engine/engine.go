@@ -40,13 +40,15 @@ var ErrJobTimeout = errors.New("job timeout exceeded")
 
 // Job names one simulation: build (or reuse) the workload for
 // (Kind, Params), generate the Scheme's traces under Config with the
-// logging options, and run the machine to completion.
+// logging options, and run the machine to completion. Its JSON encoding
+// is the cluster's sim payload: benchmark and scheme by name, the rest as
+// their full structs, so a decoded job has the same Fingerprint.
 type Job struct {
-	Kind   workload.Kind
-	Params workload.Params
-	Scheme core.Scheme
-	Config config.Config
-	Log    logging.Options
+	Kind   workload.Kind   `json:"bench"`
+	Scheme core.Scheme     `json:"scheme"`
+	Params workload.Params `json:"params"`
+	Config config.Config   `json:"config"`
+	Log    logging.Options `json:"log"`
 }
 
 func (j Job) String() string {
@@ -82,13 +84,14 @@ type wlKey struct {
 	params workload.Params
 }
 
-// Result is what one simulation produced.
+// Result is what one simulation produced. Its JSON encoding is both the
+// cluster's sim result and the result a store entry carries.
 type Result struct {
-	Report *stats.Report
+	Report *stats.Report `json:"report"`
 	// EmittedLogFlushes counts the log-flush micro-ops present in the
 	// generated traces, before any run-time LLT filtering (the quantity
 	// the static-vs-dynamic filtering ablation compares).
-	EmittedLogFlushes uint64
+	EmittedLogFlushes uint64 `json:"emitted_log_flushes"`
 }
 
 // Phase tags a progress event.

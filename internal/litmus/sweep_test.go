@@ -135,7 +135,7 @@ func TestArtifactReplayRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Meta.Source != p.Name() || a.Meta.Scheme != core.Proteus.String() || a.Meta.Fault != "torn" || a.Meta.Cycle != mid {
+	if a.Meta.Source != p.Name() || a.Meta.Scheme != core.Proteus || a.Meta.Fault != crashcampaign.FaultTorn || a.Meta.Cycle != mid {
 		t.Fatalf("artifact meta mismatch: %+v", a.Meta)
 	}
 	rp, err := Parse(a.Meta.Source)

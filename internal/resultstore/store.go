@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/provenance"
-	"repro/internal/stats"
 )
 
 // schemaVersion is bumped whenever the entry encoding changes shape.
@@ -87,11 +86,6 @@ type entry struct {
 	Rev    string          `json:"rev,omitempty"`
 	Digest string          `json:"digest"`
 	Result json.RawMessage `json:"result"`
-}
-
-type result struct {
-	Report            *stats.Report `json:"report"`
-	EmittedLogFlushes uint64        `json:"emitted_log_flushes"`
 }
 
 // Counters snapshots store activity.
@@ -198,14 +192,14 @@ func decode(key string, data []byte) (*engine.Result, *entry, error) {
 	if got := digest(e.Result); got != e.Digest {
 		return nil, nil, fmt.Errorf("result digest %.12s.., recorded %.12s..", got, e.Digest)
 	}
-	var r result
+	var r engine.Result
 	if err := json.Unmarshal(e.Result, &r); err != nil {
 		return nil, nil, fmt.Errorf("result payload: %w", err)
 	}
 	if r.Report == nil {
 		return nil, nil, errors.New("entry carries no report")
 	}
-	return &engine.Result{Report: r.Report, EmittedLogFlushes: r.EmittedLogFlushes}, &e, nil
+	return &r, &e, nil
 }
 
 // EntryInfo is the provenance-relevant view of one verified entry.
@@ -248,7 +242,7 @@ func EntryDigest(res *engine.Result) (string, error) {
 	if res == nil || res.Report == nil {
 		return "", errors.New("resultstore: empty result has no digest")
 	}
-	raw, err := json.Marshal(result{Report: res.Report, EmittedLogFlushes: res.EmittedLogFlushes})
+	raw, err := json.Marshal(res)
 	if err != nil {
 		return "", fmt.Errorf("resultstore: %w", err)
 	}
@@ -317,7 +311,7 @@ func (s *Store) Store(key string, j engine.Job, res *engine.Result) error {
 		s.errs.Add(1)
 		return errors.New("resultstore: refusing to store an empty result")
 	}
-	raw, err := json.Marshal(result{Report: res.Report, EmittedLogFlushes: res.EmittedLogFlushes})
+	raw, err := json.Marshal(res)
 	if err != nil {
 		s.errs.Add(1)
 		return fmt.Errorf("resultstore: %w", err)

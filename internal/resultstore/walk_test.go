@@ -23,7 +23,7 @@ func TestSchemaV2ReadCompat(t *testing.T) {
 	}
 	j, res := testJob(), testResult()
 	key := j.Fingerprint()
-	raw, err := json.Marshal(result{Report: res.Report, EmittedLogFlushes: res.EmittedLogFlushes})
+	raw, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}

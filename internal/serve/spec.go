@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -21,16 +22,20 @@ import (
 
 // Spec is the wire format of one job submission. Type selects the shape:
 //
-//   - "sim": one (bench, scheme, mem) tuple, the proteus-sim workload
-//     sizing rules (zero SimOps means Table 2 / 25).
+//   - "sim": one (bench, scheme, mem) tuple, built by the same
+//     engine.SimSpec as proteus-sim (zero SimOps means Table 2 / 25).
+//     Unset fields take proteus-sim's defaults, so a sim submitted over
+//     HTTP names the same tuple as the equivalent proteus-sim run and
+//     shares its cache entries.
 //   - "figure": one experiment table ("6".."12", "t4") on a shared
 //     experiments.Suite; Scale "quick" uses the test sizing, anything
 //     else the standard reduced scale.
 //   - "campaign": a crash-campaign sweep (benches × schemes × faults).
-//
-// Unset numeric fields take the same defaults the CLIs use, so a job
-// submitted over HTTP names the same tuple as the equivalent CLI run and
-// shares its cache entries.
+//     Unset fields take proteus-crash's defaults with three exceptions:
+//     benches default to QE and schemes to Proteus (proteus-crash: all
+//     and all), and sweep to 16 (proteus-crash: 64). Benches, schemes and
+//     faults are comma-separated lists in which "all" means what it means
+//     to proteus-crash.
 type Spec struct {
 	Type string `json:"type"`
 
@@ -128,21 +133,18 @@ func compile(s Spec) (*job, error) {
 	}
 	switch s.Type {
 	case "sim":
-		kind, err := workload.KindByName(defaultStr(s.Bench, "QE"))
+		d := engine.DefaultSimSpec
+		var err error
+		j.simJob, err = engine.SimSpec{
+			Bench: cmp.Or(s.Bench, d.Bench), Scheme: cmp.Or(s.Scheme, d.Scheme), Mem: cmp.Or(s.Mem, d.Mem),
+			Threads: cmp.Or(max(s.Threads, 0), d.Threads), SimOps: s.SimOps, InitOps: s.InitOps,
+			Seed: cmp.Or(s.Seed, d.Seed), LogQ: cmp.Or(s.LogQ, d.LogQ), LPQ: cmp.Or(s.LPQ, d.LPQ),
+		}.Job()
 		if err != nil {
 			return nil, err
 		}
-		scheme, err := core.SchemeByName(defaultStr(s.Scheme, "Proteus"))
-		if err != nil {
-			return nil, err
-		}
-		memKind, err := config.ParseMemKind(defaultStr(s.Mem, "nvm-fast"))
-		if err != nil {
-			return nil, err
-		}
-		j.simJob = simJob(kind, scheme, memKind, s)
 	case "figure":
-		name := strings.ToLower(defaultStr(s.Figure, "6"))
+		name := strings.ToLower(cmp.Or(s.Figure, "6"))
 		if _, ok := figures[name]; !ok {
 			return nil, fmt.Errorf("unknown figure %q (want 6-12, t4)", s.Figure)
 		}
@@ -158,51 +160,29 @@ func compile(s Spec) (*job, error) {
 			j.opts.Seed = s.Seed
 		}
 	case "campaign":
-		benches, err := splitParse(defaultStr(s.Benches, "QE"), workload.KindByName)
+		benches, err := workload.ParseKinds(cmp.Or(s.Benches, "QE"))
 		if err != nil {
 			return nil, err
 		}
-		schemes, err := splitParse(defaultStr(s.Schemes, "Proteus"), core.SchemeByName)
+		schemes, err := core.ParseSchemes(cmp.Or(s.Schemes, "Proteus"))
 		if err != nil {
 			return nil, err
 		}
-		faults, err := crashcampaign.ParseFaults(defaultStr(s.Faults, "clean"))
+		faults, err := crashcampaign.ParseFaults(cmp.Or(s.Faults, "clean"))
 		if err != nil {
 			return nil, err
-		}
-		threads := s.Threads
-		if threads <= 0 {
-			threads = 2
-		}
-		simOps, initOps := s.SimOps, s.InitOps
-		if simOps <= 0 {
-			simOps = 40
-		}
-		if initOps <= 0 {
-			initOps = 256
-		}
-		wseed := s.Seed
-		if wseed == 0 {
-			wseed = 11
-		}
-		cseed := s.CampaignSeed
-		if cseed == 0 {
-			cseed = 1
-		}
-		sweep := s.Sweep
-		if sweep <= 0 {
-			sweep = 16
 		}
 		j.campaign = crashcampaign.Config{
 			Benches: benches,
 			Schemes: schemes,
-			Params: workload.Params{Threads: threads, InitOps: initOps, SimOps: simOps, Seed: wseed,
-				SSItems: 256, SSStrSize: 256, ListNodes: 4, ListElems: 64},
+			Params: workload.Params{Threads: cmp.Or(max(s.Threads, 0), 2),
+				InitOps: cmp.Or(max(s.InitOps, 0), 256), SimOps: cmp.Or(max(s.SimOps, 0), 40),
+				Seed: cmp.Or(s.Seed, 11), SSItems: 256, SSStrSize: 256, ListNodes: 4, ListElems: 64},
 			Sim:    config.Default(),
-			Sweep:  sweep,
+			Sweep:  cmp.Or(max(s.Sweep, 0), 16),
 			Rand:   s.Rand,
 			Faults: faults,
-			Seed:   cseed,
+			Seed:   cmp.Or(s.CampaignSeed, 1),
 		}
 	default:
 		return nil, fmt.Errorf("unknown job type %q (want sim, figure, campaign)", s.Type)
@@ -210,43 +190,15 @@ func compile(s Spec) (*job, error) {
 	return j, nil
 }
 
-// simJob builds the engine job exactly the way cmd/proteus-sim does, so
-// the HTTP transport and the CLI name identical tuples — the determinism
-// guarantee across transports reduces to the engine's own.
-func simJob(kind workload.Kind, scheme core.Scheme, memKind config.MemKind, s Spec) engine.Job {
-	threads := s.Threads
-	if threads <= 0 {
-		threads = 4
-	}
-	p := kind.DefaultParams(1)
-	p.Threads = threads
-	p.Seed = defaultInt64(s.Seed, 42)
-	if s.SimOps > 0 {
-		p.SimOps = s.SimOps
-	} else {
-		p.SimOps /= 25
-		if p.SimOps < 8 {
-			p.SimOps = 8
-		}
-	}
-	if s.InitOps > 0 {
-		p.InitOps = s.InitOps
-	}
-	cfg := config.Default().WithMemKind(memKind)
-	cfg.Cores = threads
-	cfg.Proteus.LogQ = defaultInt(s.LogQ, 16)
-	cfg.Mem.LPQ = defaultInt(s.LPQ, 256)
-	return engine.Job{Kind: kind, Params: p, Scheme: scheme, Config: cfg}
-}
-
-// SimResult is the result payload of a "sim" job. It is canonical: the
-// same tuple marshals to identical bytes whether it ran live, came from
-// the engine memo table, or was read back from the on-disk store.
+// SimResult is the result payload of a "sim" job: the job's name and
+// fingerprint followed by the engine.Result's own fields. It is
+// canonical: the same tuple marshals to identical bytes whether it ran
+// live, came from the engine memo table, or was read back from the
+// on-disk store.
 type SimResult struct {
-	Job               string        `json:"job"`
-	Fingerprint       string        `json:"fingerprint"`
-	Report            *stats.Report `json:"report"`
-	EmittedLogFlushes uint64        `json:"emitted_log_flushes"`
+	Job         string `json:"job"`
+	Fingerprint string `json:"fingerprint"`
+	engine.Result
 }
 
 // FigureResult is the result payload of a "figure" job.
@@ -275,12 +227,7 @@ func (j *job) execute(ctx context.Context, eng *engine.Engine, clu *cluster.Coor
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(SimResult{
-			Job:               j.simJob.String(),
-			Fingerprint:       j.simJob.Fingerprint(),
-			Report:            res.Report,
-			EmittedLogFlushes: res.EmittedLogFlushes,
-		})
+		return json.Marshal(SimResult{Job: j.simJob.String(), Fingerprint: j.simJob.Fingerprint(), Result: *res})
 	case "figure":
 		suite := experiments.NewSuite(ctx, j.opts, eng)
 		tab, err := figures[j.figure](suite)
@@ -304,37 +251,4 @@ func (j *job) execute(ctx context.Context, eng *engine.Engine, clu *cluster.Coor
 		}
 		return json.Marshal(rep)
 	}
-}
-
-func splitParse[T any](s string, parse func(string) (T, error)) ([]T, error) {
-	var out []T
-	for _, name := range strings.Split(s, ",") {
-		v, err := parse(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func defaultStr(s, d string) string {
-	if s == "" {
-		return d
-	}
-	return s
-}
-
-func defaultInt(v, d int) int {
-	if v == 0 {
-		return d
-	}
-	return v
-}
-
-func defaultInt64(v, d int64) int64 {
-	if v == 0 {
-		return d
-	}
-	return v
 }

@@ -14,8 +14,9 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"strings"
+	"slices"
 
+	"repro/internal/enum"
 	"repro/internal/heap"
 	"repro/internal/isa"
 	"repro/internal/nvm"
@@ -67,17 +68,24 @@ func (k Kind) String() string { return k.Abbrev() }
 // Table2 lists the six evaluation benchmarks in the paper's figure order.
 var Table2 = []Kind{Queue, HashMap, StringSwap, AVLTree, BTree, RBTree}
 
-// KindByName resolves a benchmark by its paper abbreviation,
-// case-insensitively (QE, HM, SS, AT, BT, RT, LL). It is the shared
-// parser for every CLI flag and HTTP job spec naming a benchmark.
-func KindByName(name string) (Kind, error) {
-	for _, k := range append(append([]Kind{}, Table2...), LinkedList) {
-		if strings.EqualFold(k.Abbrev(), name) {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("workload: unknown benchmark %q (want QE, HM, SS, AT, BT, RT, LL)", name)
+var kinds = enum.Names[Kind]{
+	What:   "benchmark",
+	Values: slices.Concat(Table2, []Kind{LinkedList}),
+	All:    Table2,
 }
+
+// KindByName resolves a benchmark by its paper abbreviation,
+// case-insensitively (QE, HM, SS, AT, BT, RT, LL).
+func KindByName(name string) (Kind, error) { return kinds.Lookup(name) }
+
+// ParseKinds parses a comma-separated benchmark list; "all" means Table2.
+func ParseKinds(list string) ([]Kind, error) { return kinds.List(list) }
+
+// MarshalText encodes a benchmark as its abbreviation.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText decodes a benchmark abbreviation, case-insensitively.
+func (k *Kind) UnmarshalText(text []byte) error { return kinds.Unmarshal(k, text) }
 
 // Params configures a workload build.
 type Params struct {

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# End-to-end smoke test of the simulation job server: start proteus-served
-# with a small queue and a fresh result store, submit a tiny simulation,
-# poll it to completion, assert that an identical resubmission is answered
-# from the cache (no new simulation), scrape /metrics, then SIGTERM the
-# server and assert it drains and exits 0.
+# End-to-end smoke test of the simulation job server: run a tiny
+# simulation with proteus-sim into a fresh result store, start
+# proteus-served with a small queue on that store, submit the same
+# simulation over HTTP and assert it is answered from the store (the CLI
+# and HTTP name the same tuple), assert that an identical resubmission is
+# answered from the cache (no new simulation), scrape /metrics, then
+# SIGTERM the server and assert it drains and exits 0.
 set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18080}"
@@ -16,7 +18,12 @@ SPEC='{"type":"sim","bench":"QE","scheme":"Proteus","threads":1,"simops":16,"ini
 say() { echo "serve_smoke: $*" >&2; }
 
 go build -o "$WORK/proteus-served" ./cmd/proteus-served
-say "built proteus-served"
+go build -o "$WORK/proteus-sim" ./cmd/proteus-sim
+say "built proteus-served and proteus-sim"
+
+# The CLI run of the spec below stores its result before the server starts.
+"$WORK/proteus-sim" -store "$WORK/store" -bench QE -scheme Proteus -threads 1 -simops 16 -initops 64 >"$WORK/sim.log"
+say "proteus-sim stored its result"
 
 "$WORK/proteus-served" -addr "$ADDR" -store "$WORK/store" -queue 4 -workers 1 \
     -drain-timeout 30s 2>"$WORK/server.log" &
@@ -53,7 +60,14 @@ say "job $ID done"
 
 metric() { curl -fsS "$BASE/metrics" | awk -v m="$1" '$1 == m {print $2}'; }
 
+# The HTTP submission names the tuple proteus-sim ran: a store hit.
+STORE_HITS=$(metric proteus_engine_store_hits_total)
 SIMULATED_BEFORE=$(metric proteus_engine_simulated_total)
+if [ "$STORE_HITS" != 1 ] || [ "$SIMULATED_BEFORE" != 0 ]; then
+    say "HTTP job was not the CLI's tuple: store_hits_total $STORE_HITS, simulated_total $SIMULATED_BEFORE (want 1, 0)"
+    exit 1
+fi
+say "HTTP job was answered from proteus-sim's store entry"
 
 # An identical synchronous resubmission must be answered from the cache:
 # the result store (or memo table) serves it, nothing new is simulated.
