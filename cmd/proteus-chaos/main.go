@@ -15,9 +15,12 @@
 //	      expire and requeue) plus injected worker stalls longer than
 //	      the lease TTL (their late completions must drop as stale)
 //
-// The soak ends by scrubbing every store: corrupt entries are
-// quarantined, and a second scrub must come back clean. Any report
-// mismatch, quarantined cluster item, or residual corruption exits 1.
+// Each iteration scrubs the coordinator store over HTTP, which
+// cross-checks every healthy entry against the provenance ledger. The
+// soak ends by scrubbing every store: corrupt entries are quarantined,
+// and a second scrub must come back clean. Any report mismatch,
+// quarantined cluster item, entry diverging from the ledger, or
+// residual corruption exits 1.
 //
 // Example:
 //
@@ -27,8 +30,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -84,7 +85,6 @@ type soakReport struct {
 	LeaseExpired   uint64 `json:"lease_expired"`
 	Requeued       uint64 `json:"requeued"`
 	StaleReports   uint64 `json:"stale_reports"`
-	UnknownWorker  uint64 `json:"unknown_worker_calls"`
 	WorkersEvicted uint64 `json:"workers_evicted"`
 	ItemsLost      uint64 `json:"items_quarantined"` // must be 0
 
@@ -93,15 +93,14 @@ type soakReport struct {
 	ScrubCorrupt     int `json:"scrub_corrupt"`
 	StoreQuarantined int `json:"store_quarantined"` // corpses parked on disk
 
-	// Provenance ledger under chaos. ForgedProofs counts verifying
-	// inclusion proofs that vouched for corrupt on-disk bytes (must be
-	// 0: the lying FS may corrupt entries, but it must never be able to
-	// make the ledger attest to the corruption). StampRejected counts
-	// worker completions the coordinator refused over their stamps.
-	ForgedProofs  int    `json:"forged_proofs"`
-	StampRejected uint64 `json:"stamp_rejected"`
-	LedgerRecords int    `json:"ledger_records"`
-	LedgerLeaves  int    `json:"ledger_leaves"`
+	// Provenance ledger under chaos. ScrubDiverged counts coordinator
+	// store entries that the per-iteration scrub found consistent with
+	// their own digest but not with the ledger's sealed digest: the one
+	// way a lying disk could make the ledger vouch for bytes it never
+	// committed (must be 0).
+	ScrubDiverged int `json:"scrub_diverged"`
+	LedgerRecords int `json:"ledger_records"`
+	LedgerLeaves  int `json:"ledger_leaves"`
 	// Final offline audit of the coordinator store against its ledger
 	// (run on the real filesystem, after scrubbing): divergent and
 	// unledgered must both be 0. Missing entries are quarantined
@@ -170,9 +169,9 @@ func run(seed int64, duration time.Duration, workers int, faultList, storeDir, o
 			return fmt.Errorf("iteration %d: fault-free reference run: %w", rep.Iterations, err)
 		}
 
-		got, stats, forged, err := chaosIteration(ctx, iterArgs{
+		got, stats, diverged, err := chaosIteration(ctx, iterArgs{
 			campaign: camp, injector: in, logger: logger,
-			storeDir: storeDir, workers: workers, seed: seed,
+			storeDir: storeDir, workers: workers,
 			fsFaults: fsFaults, httpFaults: httpFaults, killFaults: killFaults,
 		})
 		if err != nil {
@@ -186,11 +185,9 @@ func run(seed int64, duration time.Duration, workers int, faultList, storeDir, o
 		rep.LeaseExpired += stats.LeaseExpired
 		rep.Requeued += stats.Requeued
 		rep.StaleReports += stats.StaleReports
-		rep.UnknownWorker += stats.UnknownWorkerCalls
 		rep.WorkersEvicted += stats.WorkersEvicted
 		rep.ItemsLost += stats.QuarantinedN
-		rep.StampRejected += stats.StampRejected
-		rep.ForgedProofs += forged
+		rep.ScrubDiverged += diverged
 		rep.Iterations++
 	}
 
@@ -270,8 +267,8 @@ func run(seed int64, duration time.Duration, workers int, faultList, storeDir, o
 		return fmt.Errorf("%d report mismatches", rep.Mismatches)
 	case rep.ItemsLost > 0:
 		return fmt.Errorf("%d cluster items quarantined (unrecovered work)", rep.ItemsLost)
-	case rep.ForgedProofs > 0:
-		return fmt.Errorf("%d forged inclusion proofs (the lying FS defeated tamper evidence)", rep.ForgedProofs)
+	case rep.ScrubDiverged > 0:
+		return fmt.Errorf("%d store entries diverged from the ledger's sealed digests", rep.ScrubDiverged)
 	case rep.AuditDivergent > 0 || rep.AuditUnledgered > 0:
 		return fmt.Errorf("final ledger audit failed: %d divergent, %d unledgered",
 			rep.AuditDivergent, rep.AuditUnledgered)
@@ -321,7 +318,6 @@ type iterArgs struct {
 	logger     *slog.Logger
 	storeDir   string
 	workers    int
-	seed       int64
 	fsFaults   bool
 	httpFaults bool
 	killFaults bool
@@ -330,8 +326,8 @@ type iterArgs struct {
 // chaosIteration runs one campaign on a full in-process cluster — serve
 // HTTP front, coordinator, pull workers with their own stores — under
 // the injector's faults, and returns the report bytes, the
-// coordinator's closing stats, and the number of forged inclusion
-// proofs (corrupt entries the ledger vouched for; must be zero).
+// coordinator's closing stats, and the number of coordinator store
+// entries its scrub found diverging from the ledger (must be zero).
 func chaosIteration(ctx context.Context, a iterArgs) ([]byte, cluster.Stats, int, error) {
 	ctx, cancel := context.WithTimeout(ctx, 3*time.Minute)
 	defer cancel()
@@ -351,7 +347,7 @@ func chaosIteration(ctx context.Context, a iterArgs) ([]byte, cluster.Stats, int
 	// The provenance ledger lives inside the coordinator store and is
 	// written through the same lying filesystem: every sealed batch must
 	// survive torn writes and bit flips or refuse to commit, and nothing
-	// the faults do may ever produce a proof over corrupted bytes.
+	// the faults do may ever make it vouch for bytes it never sealed.
 	var ledgerFS resultstore.FS
 	if a.fsFaults {
 		ledgerFS = chaos.NewFS(a.injector)
@@ -364,14 +360,12 @@ func chaosIteration(ctx context.Context, a iterArgs) ([]byte, cluster.Stats, int
 	recStore := ledger.NewRecordingStore(coStore, admissions)
 	coStore.SetVerifier(ledger.DigestVerifier(lg))
 	co := cluster.NewCoordinator(cluster.Config{
-		LeaseTTL:         time.Second,
-		RetryBudget:      10,
-		BackoffBase:      10 * time.Millisecond,
-		BackoffMax:       500 * time.Millisecond,
-		Seed:             a.seed,
-		Publish:          cluster.PublishToStore(recStore, a.logger),
-		VerifyCompletion: cluster.VerifyCompletion,
-		Logger:           a.logger,
+		LeaseTTL:    time.Second,
+		RetryBudget: 10,
+		BackoffBase: 10 * time.Millisecond,
+		BackoffMax:  500 * time.Millisecond,
+		Publish:     cluster.PublishToStore(recStore, a.logger),
+		Logger:      a.logger,
 	})
 	srv, err := serve.New(serve.Config{
 		Engine:     engine.New(engine.Config{Workers: 2, Store: recStore}),
@@ -489,17 +483,27 @@ func chaosIteration(ctx context.Context, a iterArgs) ([]byte, cluster.Stats, int
 
 	// Exercise the operator surface while the stack is still up: a scrub
 	// over HTTP and a metrics scrape must both succeed under chaos. These
-	// use a clean client — they model the operator, not the fleet.
+	// use a clean client — they model the operator, not the fleet. The
+	// scrub's diverged keys are entries whose bytes match their own
+	// digest but not the one the ledger sealed for them.
+	diverged := 0
 	if runErr == nil {
-		if resp, err := http.Post(url+"/v1/store/scrub", "application/json", nil); err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				runErr = fmt.Errorf("scrub endpoint returned %d", resp.StatusCode)
+		runErr = func() error {
+			resp, err := http.Post(url+"/v1/store/scrub", "application/json", nil)
+			if err != nil {
+				return fmt.Errorf("scrub endpoint: %w", err)
 			}
-		} else {
-			runErr = fmt.Errorf("scrub endpoint: %w", err)
-		}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("scrub endpoint returned %d", resp.StatusCode)
+			}
+			var sr resultstore.ScrubReport
+			if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+				return fmt.Errorf("scrub endpoint: decoding report: %w", err)
+			}
+			diverged = len(sr.Diverged)
+			return nil
+		}()
 	}
 	if runErr == nil {
 		if resp, err := http.Get(url + "/metrics"); err == nil {
@@ -513,23 +517,16 @@ func chaosIteration(ctx context.Context, a iterArgs) ([]byte, cluster.Stats, int
 	stats := co.Stats()
 	stopWorkers()
 	wg.Wait()
-	// Seal whatever the workers left pending, then probe the store for
-	// forged proofs while the chain is at its final per-iteration state.
-	admissions.Close()
-	forged := 0
-	if runErr == nil {
-		var ferr error
-		forged, ferr = forgedProofs(coStore, lg)
-		if ferr != nil {
-			runErr = fmt.Errorf("forged-proof probe: %w", ferr)
-		}
-	}
 	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
 	hs.Shutdown(shutCtx)
 	srv.Drain(shutCtx)
 	shutCancel()
 	ln.Close()
-	return got, stats, forged, runErr
+	// Close the batcher last, as proteus-served does: until the server
+	// has shut down a /complete handler can still be publishing, and its
+	// leaf must be sealed, not dropped.
+	admissions.Close()
+	return got, stats, diverged, runErr
 }
 
 // openLedgerRetry opens the ledger through a possibly-lying filesystem.
@@ -615,39 +612,4 @@ func submitSims(ctx context.Context, url string, seed int64) error {
 		}
 	}
 	return nil
-}
-
-// forgedProofs walks the store for corrupt entries that the ledger
-// nevertheless vouches for: a verifying inclusion proof whose leaf
-// digest matches the corrupt bytes would mean the lying FS forged
-// provenance. The walk itself reads through the chaos FS, so a lying
-// read can make a healthy entry look corrupt here — but its mangled
-// bytes hash to a digest the chain never sealed, so that cannot count
-// as forged.
-func forgedProofs(st *resultstore.Store, lg *ledger.Ledger) (int, error) {
-	forged := 0
-	err := st.Walk(func(key string, raw []byte, readErr error) error {
-		if readErr != nil {
-			return nil // unreadable: no bytes for a proof to vouch for
-		}
-		if _, verr := resultstore.VerifyEntry(key, raw); verr == nil {
-			return nil // healthy: cross-checked by the final offline audit
-		}
-		var doc struct {
-			Result json.RawMessage `json:"result"`
-		}
-		if json.Unmarshal(raw, &doc) != nil || len(doc.Result) == 0 {
-			return nil
-		}
-		sum := sha256.Sum256(doc.Result)
-		p, err := lg.Proof(key, ledger.LeafResult)
-		if err != nil {
-			return nil // never sealed: nothing vouches for this key
-		}
-		if lg.VerifyProof(p) == nil && p.Leaf.Digest == hex.EncodeToString(sum[:]) {
-			forged++
-		}
-		return nil
-	})
-	return forged, err
 }

@@ -45,7 +45,7 @@ func main() {
 		fs := flag.NewFlagSet("verify", flag.ExitOnError)
 		storeDir := fs.String("store", "proteus-store", "result store directory")
 		key := fs.String("key", "", "also verify the inclusion proof for this key")
-		kind := fs.String("kind", "", "narrow -key to one leaf kind (result, admission, completion)")
+		kind := fs.String("kind", "", "narrow -key to one leaf kind (result, admission)")
 		fs.Parse(args)
 		// Open re-verifies the whole chain — every root against its
 		// leaves, every head against its predecessor — so reaching this

@@ -98,12 +98,8 @@ func main() {
 			// Workers report results over the protocol; the coordinator
 			// publishes sims into the shared store so later submissions
 			// are answered without touching the cluster. With the ledger
-			// on, the publish flows through the recording hook and every
-			// completion's provenance stamp is verified before acceptance.
+			// on, the publish flows through the recording hook.
 			cconf.Publish = cluster.PublishToStore(econf.Store, logger)
-			if batcher != nil {
-				cconf.VerifyCompletion = cluster.VerifyCompletion
-			}
 		}
 		coord = cluster.NewCoordinator(cconf)
 		janitorStop = make(chan struct{})

@@ -15,6 +15,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/ledger"
 	"repro/internal/resultstore"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -159,32 +160,76 @@ func TestCrashBeforeRenameNeverPublishes(t *testing.T) {
 	}
 }
 
+// dirSyncFailFS fails every directory fsync and nothing else.
+type dirSyncFailFS struct{ resultstore.FS }
+
+func (dirSyncFailFS) SyncDir(string) error { return errors.New("injected directory fsync failure") }
+
 // TestWriteFaultsSurfaceAsStoreErrors: ENOSPC and fsync failures fail
-// the Store call without leaving a live entry behind.
+// the Store call without leaving a live entry behind, and a Store that
+// reports success leaves one. A directory fsync runs after the rename
+// has published the entry, so it must not fail the Store.
 func TestWriteFaultsSurfaceAsStoreErrors(t *testing.T) {
-	for name, conf := range map[string]Config{
-		"enospc":    {ENOSPC: 1},
-		"sync_fail": {SyncFail: 1},
+	for name, tc := range map[string]struct {
+		fsys     resultstore.FS
+		mustFail bool
+	}{
+		"enospc":        {NewFS(New(5, Config{ENOSPC: 1})), true},
+		"sync_fail":     {NewFS(New(5, Config{SyncFail: 1})), true},
+		"dir_sync_fail": {dirSyncFailFS{resultstore.OSFS()}, false},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			in := New(5, conf)
-			sick, err := resultstore.OpenFS(dir, NewFS(in))
+			sick, err := resultstore.OpenFS(dir, tc.fsys)
 			if err != nil {
 				t.Fatal(err)
 			}
 			j := testJob(4)
-			if err := sick.Store(j.Fingerprint(), j, testResult()); err == nil {
+			serr := sick.Store(j.Fingerprint(), j, testResult())
+			if serr == nil && tc.mustFail {
 				t.Fatal("Store succeeded under a write fault")
 			}
 			clean, err := resultstore.Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, err := clean.Load(j.Fingerprint()); got != nil || err != nil {
-				t.Fatalf("failed Store left a visible entry: (%v, %v)", got, err)
+			got, err := clean.Load(j.Fingerprint())
+			if serr != nil && (got != nil || err != nil) {
+				t.Fatalf("failed Store (%v) left a visible entry: (%v, %v)", serr, got, err)
+			}
+			if serr == nil && got == nil {
+				t.Fatalf("successful Store left no entry (%v)", err)
 			}
 		})
+	}
+}
+
+// TestFailedDirSyncLeavesNothingUnledgered: a store write whose
+// directory fsync fails after the rename is live, so the ledger's
+// recording hook must seal it — the audit finds no live entry the chain
+// never sealed.
+func TestFailedDirSyncLeavesNothingUnledgered(t *testing.T) {
+	dir := t.TempDir()
+	st, err := resultstore.OpenFS(dir, dirSyncFailFS{resultstore.OSFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := ledger.Open(ledger.DefaultPath(dir), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := ledger.NewBatcher(lg, 1, time.Minute)
+	j := testJob(4)
+	// The Store error is not the property under test: whatever it
+	// reports, the audit must find nothing live and unsealed.
+	_ = ledger.NewRecordingStore(st, b).Store(j.Fingerprint(), j, testResult())
+	b.Close()
+	rep, err := ledger.Audit(st, lg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Unledgered) != 0 {
+		t.Fatalf("audit after a failed directory fsync: %+v, want nothing unledgered", rep)
 	}
 }
 

@@ -11,13 +11,12 @@ import (
 )
 
 // RunCampaign executes a crash campaign on the cluster: the bench ×
-// scheme matrix is scattered as one KindCampaignTuple item per pair
-// (placed on the ring by the tuple's job fingerprint), workers sweep each
-// tuple independently, and the coordinator gathers the TupleReports and
-// assembles the final report in matrix order — the exact shape
-// crashcampaign.Run produces locally, so the report bytes are identical
-// whether a campaign ran in-process, on 1 worker, or on N workers with
-// crashes along the way.
+// scheme matrix is scattered as one KindCampaignTuple item per pair,
+// workers sweep each tuple independently, and the coordinator gathers
+// the TupleReports and assembles the final report in matrix order — the
+// exact shape crashcampaign.Run produces locally, so the report bytes
+// are identical whether a campaign ran in-process, on 1 worker, or on N
+// workers with crashes along the way.
 //
 // A quarantined tuple (an item that failed its whole retry budget) fails
 // the campaign with ErrQuarantined rather than wedging it.
@@ -41,12 +40,7 @@ func RunCampaign(ctx context.Context, co *Coordinator, c crashcampaign.Config) (
 			if err != nil {
 				return nil, fmt.Errorf("cluster: encoding tuple work: %w", err)
 			}
-			// Ring placement by the tuple's engine-job fingerprint: the
-			// same key the worker's reference run is stored under, so the
-			// tuple's natural home already holds (or will hold) its cache
-			// entry.
-			job := engine.Job{Kind: bench, Params: c.Params, Scheme: scheme, Config: c.Sim}
-			ids = append(ids, co.Enqueue(KindCampaignTuple, payload, job.Fingerprint()))
+			ids = append(ids, co.Enqueue(KindCampaignTuple, payload))
 		}
 	}
 	tuples := make([]*crashcampaign.TupleReport, 0, len(ids))
@@ -73,7 +67,7 @@ func RunSim(ctx context.Context, co *Coordinator, j engine.Job) (*engine.Result,
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encoding sim work: %w", err)
 	}
-	raw, err := co.Wait(ctx, co.Enqueue(KindSim, payload, j.Fingerprint()))
+	raw, err := co.Wait(ctx, co.Enqueue(KindSim, payload))
 	if err != nil {
 		return nil, err
 	}

@@ -332,7 +332,7 @@ func TestQuarantinePoisonedItem(t *testing.T) {
 
 	// A sim item naming an unknown benchmark fails compilation on every
 	// worker that tries it: the canonical poisoned job.
-	id := co.Enqueue(KindSim, json.RawMessage(`{"bench":"NOPE","scheme":"Proteus"}`), "deadbeef")
+	id := co.Enqueue(KindSim, json.RawMessage(`{"bench":"NOPE","scheme":"Proteus"}`))
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	_, err := co.Wait(ctx, id)
@@ -356,7 +356,6 @@ func TestLeaseExpiryRequeuesAndStaleCompletionIsDropped(t *testing.T) {
 	clock := &now
 	co := NewCoordinator(Config{
 		LeaseTTL:    10 * time.Second,
-		WorkerTTL:   time.Hour, // keep both workers on the ring throughout
 		RetryBudget: 3,
 		BackoffBase: time.Millisecond,
 		now:         func() time.Time { return *clock },
@@ -367,7 +366,7 @@ func TestLeaseExpiryRequeuesAndStaleCompletionIsDropped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	id := co.Enqueue(KindSim, json.RawMessage(`{}`), "cafe")
+	id := co.Enqueue(KindSim, json.RawMessage(`{}`))
 	got, err := co.Lease("w1", 1)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("w1 lease = (%v, %v), want the item", got, err)
@@ -388,12 +387,12 @@ func TestLeaseExpiryRequeuesAndStaleCompletionIsDropped(t *testing.T) {
 	}
 
 	// w1 comes back from the dead and reports: stale, dropped.
-	accepted, err := co.Complete("w1", id, json.RawMessage(`{"cycles":1}`), nil, "")
+	accepted, err := co.Complete("w1", id, json.RawMessage(`{"cycles":1}`), "")
 	if err != nil || accepted {
 		t.Fatalf("stale completion = (%v, %v), want dropped", accepted, err)
 	}
 	// w2's report wins.
-	accepted, err = co.Complete("w2", id, json.RawMessage(`{"cycles":1}`), nil, "")
+	accepted, err = co.Complete("w2", id, json.RawMessage(`{"cycles":1}`), "")
 	if err != nil || !accepted {
 		t.Fatalf("live completion = (%v, %v), want accepted", accepted, err)
 	}
@@ -416,14 +415,13 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	clock := &now
 	co := NewCoordinator(Config{
 		LeaseTTL:    10 * time.Second,
-		WorkerTTL:   time.Hour,
 		RetryBudget: 3,
 		now:         func() time.Time { return *clock },
 	})
 	if err := co.Register("w1"); err != nil {
 		t.Fatal(err)
 	}
-	id := co.Enqueue(KindSim, json.RawMessage(`{}`), "beef")
+	id := co.Enqueue(KindSim, json.RawMessage(`{}`))
 	if got, _ := co.Lease("w1", 1); len(got) != 1 {
 		t.Fatal("lease failed")
 	}
@@ -443,41 +441,9 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	}
 }
 
-// TestRingLocalityAndStability: keys move only when their owner leaves.
-func TestRingLocalityAndStability(t *testing.T) {
-	r := newRing(64)
-	for _, w := range []string{"w1", "w2", "w3", "w4"} {
-		r.add(w)
-	}
-	keys := make([]string, 200)
-	before := make(map[string]string)
-	for i := range keys {
-		keys[i] = engine.Job{Kind: workload.Queue, Params: workload.Params{Seed: int64(i)},
-			Scheme: core.Proteus, Config: config.Default()}.Fingerprint() + string(rune(i))
-		before[keys[i]] = r.owner(keys[i])
-	}
-	owners := map[string]int{}
-	for _, k := range keys {
-		owners[before[k]]++
-	}
-	if len(owners) < 3 {
-		t.Errorf("200 keys landed on %d workers; want a spread across >= 3", len(owners))
-	}
-	r.remove("w2")
-	for _, k := range keys {
-		after := r.owner(k)
-		if before[k] != "w2" && after != before[k] {
-			t.Errorf("key %q moved %s -> %s though its owner never left", k, before[k], after)
-		}
-		if after == "w2" {
-			t.Errorf("key %q still owned by removed worker", k)
-		}
-	}
-}
-
 // TestSimWorkRoundTrip: a sim item's payload, the engine.Job's JSON
-// encoding, decodes to a job with the same fingerprint, so ring
-// placement, memo keys and store keys all agree across the network hop.
+// encoding, decodes to a job with the same fingerprint, so memo keys and
+// store keys agree across the network hop.
 func TestSimWorkRoundTrip(t *testing.T) {
 	cfg := config.Default()
 	cfg.Cores = 2
@@ -504,9 +470,9 @@ func TestSimWorkRoundTrip(t *testing.T) {
 // retry budget.
 func TestEnqueueDeduplicates(t *testing.T) {
 	co := NewCoordinator(Config{})
-	a := co.Enqueue(KindSim, json.RawMessage(`{"bench":"QE"}`), "aa")
-	b := co.Enqueue(KindSim, json.RawMessage(`{"bench":"QE"}`), "aa")
-	c := co.Enqueue(KindSim, json.RawMessage(`{"bench":"HM"}`), "bb")
+	a := co.Enqueue(KindSim, json.RawMessage(`{"bench":"QE"}`))
+	b := co.Enqueue(KindSim, json.RawMessage(`{"bench":"QE"}`))
+	c := co.Enqueue(KindSim, json.RawMessage(`{"bench":"HM"}`))
 	if a != b {
 		t.Errorf("identical payloads got distinct items %s / %s", a, b)
 	}
@@ -518,8 +484,8 @@ func TestEnqueueDeduplicates(t *testing.T) {
 	}
 }
 
-// TestBackoffShiftClampAtHighRetryBudget pins the overflow clamp in
-// requeueLocked. BackoffBase<<(attempts-1) is computed in int64
+// TestBackoffShiftClampAtHighRetryBudget pins the overflow clamp in the
+// requeue backoff. BackoffBase<<(attempts-1) is computed in int64
 // nanoseconds; with a high retry budget the shift walks past 63 bits and
 // the product wraps mod 2^64. A base of (1<<34 + 1)ns wraps at attempt 31
 // to exactly 1<<30 ns (~1.07s) — positive and below BackoffMax, so the
@@ -535,7 +501,6 @@ func TestBackoffShiftClampAtHighRetryBudget(t *testing.T) {
 	clock := &now
 	co := NewCoordinator(Config{
 		LeaseTTL:    time.Hour,
-		WorkerTTL:   24 * time.Hour,
 		RetryBudget: 64,
 		BackoffBase: base,
 		BackoffMax:  max,
@@ -544,7 +509,7 @@ func TestBackoffShiftClampAtHighRetryBudget(t *testing.T) {
 	if err := co.Register("w1"); err != nil {
 		t.Fatal(err)
 	}
-	id := co.Enqueue(KindSim, json.RawMessage(`{}`), "feed")
+	id := co.Enqueue(KindSim, json.RawMessage(`{}`))
 
 	// Burn attempts 1..30: lease, fail, and skip far past any backoff.
 	for i := 0; i < 30; i++ {
@@ -552,7 +517,7 @@ func TestBackoffShiftClampAtHighRetryBudget(t *testing.T) {
 		if err != nil || len(got) != 1 {
 			t.Fatalf("attempt %d: lease = (%v, %v), want the item", i+1, got, err)
 		}
-		if _, err := co.Complete("w1", id, nil, nil, "injected failure"); err != nil {
+		if _, err := co.Complete("w1", id, nil, "injected failure"); err != nil {
 			t.Fatalf("attempt %d: fail report: %v", i+1, err)
 		}
 		now = now.Add(max + time.Second)
@@ -563,7 +528,7 @@ func TestBackoffShiftClampAtHighRetryBudget(t *testing.T) {
 	if got, _ := co.Lease("w1", 1); len(got) != 1 {
 		t.Fatal("attempt 31: item not leasable")
 	}
-	if _, err := co.Complete("w1", id, nil, nil, "injected failure"); err != nil {
+	if _, err := co.Complete("w1", id, nil, "injected failure"); err != nil {
 		t.Fatal(err)
 	}
 	now = now.Add(2 * time.Second) // far beyond the wrapped window

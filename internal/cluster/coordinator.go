@@ -10,14 +10,9 @@
 // items that exhaust the budget are quarantined with a typed error
 // (ErrQuarantined) instead of wedging the campaign that submitted them.
 //
-// Placement uses a consistent-hash ring over the registered workers keyed
-// by the item fingerprint (for simulations, engine.Job.Fingerprint() — the
-// same key the result store shards by), so each tuple has one natural home
-// and a worker's local result store accumulates exactly the entries it
-// keeps being asked for. Ownership is a locality preference, not a
-// partition: an idle worker steals any available item, which is what lets
-// a 1-worker cluster drain everything and a 4-worker cluster survive the
-// loss of one.
+// Pending items are granted in enqueue order to whichever worker asks
+// next, which is what lets a 1-worker cluster drain everything and a
+// 4-worker cluster survive the loss of one.
 //
 // Determinism is preserved end to end: items are deterministic
 // simulations, results are keyed (never ordered by completion), and the
@@ -47,14 +42,6 @@ import (
 // with the item id, attempt count and last failure) rather than hanging.
 var ErrQuarantined = errors.New("cluster: item quarantined after retry budget exhausted")
 
-// ErrUnknownWorker rejects lease/heartbeat/complete calls from a worker
-// the coordinator does not know — never registered, or evicted after
-// going silent (typically because the coordinator restarted and lost its
-// membership). The HTTP layer maps it to 409 Conflict; workers react by
-// re-registering and retrying, which is what lets a fleet ride out a
-// coordinator restart without operator help.
-var ErrUnknownWorker = errors.New("cluster: unknown worker")
-
 // ItemState is one work item's lifecycle phase.
 type ItemState string
 
@@ -76,7 +63,6 @@ type Item struct {
 // item is the coordinator's book-keeping for one unit of work.
 type item struct {
 	Item
-	fp string // placement fingerprint (ring key)
 
 	state     ItemState
 	worker    string    // current lease holder
@@ -90,7 +76,7 @@ type item struct {
 	done   chan struct{}
 }
 
-// workerState tracks one registered worker.
+// workerState tracks one worker the coordinator has heard from.
 type workerState struct {
 	name     string
 	lastSeen time.Time
@@ -105,43 +91,22 @@ type Config struct {
 	// LeaseTTL is how long a granted lease lives without a heartbeat;
 	// <= 0 means 10s.
 	LeaseTTL time.Duration
-	// WorkerTTL is how long a silent worker stays on the hash ring;
-	// <= 0 means 3 × LeaseTTL.
-	WorkerTTL time.Duration
 	// RetryBudget is how many lease grants an item gets before it is
 	// quarantined; <= 0 means 4.
 	RetryBudget int
 	// BackoffBase and BackoffMax shape the exponential requeue delay:
-	// attempt n waits min(BackoffBase << (n-1), BackoffMax) before it can
-	// be leased again. Defaults: 250ms base, 30s max.
+	// attempt n waits min(BackoffBase << (n-1), BackoffMax), less up to
+	// 20% jitter, before it can be leased again. Defaults: 250ms base,
+	// 30s max.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// MaxBatch caps how many items one lease call can grant; <= 0 means 8.
 	MaxBatch int
-	// BackoffJitter spreads requeue backoffs: attempt n waits a duration
-	// drawn from [b×(1−BackoffJitter), b] where b is the clamped
-	// exponential delay, so a batch of items requeued together does not
-	// stampede back in lockstep. 0 means the default 0.2; negative
-	// disables jitter. The draw is a hash of (item, attempt, Seed), not a
-	// shared random stream, so it is identical across runs regardless of
-	// how requeues interleave.
-	BackoffJitter float64
-	// Seed perturbs the deterministic backoff jitter between otherwise
-	// identical deployments.
-	Seed int64
 	// Publish, when non-nil, receives every completed item's kind and
 	// result on the coordinator — the hook the serving layer uses to
 	// write worker-produced simulation results into the shared result
 	// store.
 	Publish func(kind string, payload, result json.RawMessage)
-	// VerifyCompletion, when non-nil, checks every successful
-	// completion's provenance stamp before it is accepted (wired to
-	// cluster.VerifyCompletion when the serving binary runs with the
-	// ledger on). A completion that fails verification is treated as a
-	// failed attempt: requeued with backoff, quarantined when the
-	// budget runs out — a mis-stamping worker can slow an item down but
-	// never slip an unattested result into the store.
-	VerifyCompletion func(kind string, payload, result, stamp json.RawMessage) error
 	// Logger receives structured coordinator logs; nil discards.
 	Logger *slog.Logger
 
@@ -162,7 +127,6 @@ type Coordinator struct {
 	items   map[string]*item
 	order   []string // enqueue order, for deterministic grant scans
 	workers map[string]*workerState
-	ring    *ring
 
 	// counters (under mu; exported via Stats).
 	leasesGranted uint64
@@ -172,24 +136,12 @@ type Coordinator struct {
 	quarantined   uint64
 	staleReports  uint64
 	evicted       uint64
-	unknownCalls  uint64
-	stampRejected uint64
 }
 
 // NewCoordinator returns a coordinator with the given configuration.
 func NewCoordinator(conf Config) *Coordinator {
 	if conf.LeaseTTL <= 0 {
 		conf.LeaseTTL = 10 * time.Second
-	}
-	if conf.WorkerTTL <= 0 {
-		conf.WorkerTTL = 3 * conf.LeaseTTL
-	}
-	if conf.BackoffJitter == 0 {
-		conf.BackoffJitter = 0.2
-	} else if conf.BackoffJitter < 0 {
-		conf.BackoffJitter = 0
-	} else if conf.BackoffJitter > 1 {
-		conf.BackoffJitter = 1
 	}
 	if conf.RetryBudget <= 0 {
 		conf.RetryBudget = 4
@@ -214,7 +166,6 @@ func NewCoordinator(conf Config) *Coordinator {
 		log:     conf.Logger,
 		items:   make(map[string]*item),
 		workers: make(map[string]*workerState),
-		ring:    newRing(virtualNodes),
 	}
 }
 
@@ -229,11 +180,10 @@ func itemID(kind string, payload []byte) string {
 	return kind + "-" + hex.EncodeToString(h[:8])
 }
 
-// Enqueue admits one work item. fp is the placement fingerprint (ring
-// key). Identical (kind, payload) submissions share one item — and one
-// retry budget — like the serving layer's singleflight. It returns the
-// item id to Wait on.
-func (c *Coordinator) Enqueue(kind string, payload json.RawMessage, fp string) string {
+// Enqueue admits one work item. Identical (kind, payload) submissions
+// share one item — and one retry budget — like the serving layer's
+// singleflight. It returns the item id to Wait on.
+func (c *Coordinator) Enqueue(kind string, payload json.RawMessage) string {
 	id := itemID(kind, payload)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -242,7 +192,6 @@ func (c *Coordinator) Enqueue(kind string, payload json.RawMessage, fp string) s
 	}
 	c.items[id] = &item{
 		Item:  Item{ID: id, Kind: kind, Payload: payload},
-		fp:    fp,
 		state: ItemPending,
 		done:  make(chan struct{}),
 	}
@@ -270,52 +219,34 @@ func (c *Coordinator) Wait(ctx context.Context, id string) (json.RawMessage, err
 	}
 }
 
-// Register adds (or refreshes) a worker on the hash ring.
+// Register records (or refreshes) a worker. Lease, heartbeat and
+// complete record an unseen worker the same way; the /register endpoint
+// exists to hand the worker its pacing.
 func (c *Coordinator) Register(name string) error {
-	if name == "" {
-		return errors.New("cluster: empty worker name")
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.touchLocked(name)
-	return nil
+	_, err := c.touchLocked(name)
+	return err
 }
 
-// touchLocked refreshes the worker's liveness, adding it to the ring on
-// first contact.
-func (c *Coordinator) touchLocked(name string) *workerState {
-	w, ok := c.workers[name]
-	if !ok {
-		w = &workerState{name: name}
-		c.workers[name] = w
-		c.ring.add(name)
-		c.log.Info("worker joined", "worker", name, "ring", len(c.workers))
-	}
-	w.lastSeen = c.conf.now()
-	return w
-}
-
-// lookupLocked resolves a known worker, refreshing its liveness. Unlike
-// touchLocked it never creates one: lease, heartbeat and complete calls
-// from unknown workers fail with ErrUnknownWorker, so a worker that
-// outlives the coordinator's memory of it (restart, eviction) is forced
-// back through Register — and onto the hash ring — before it gets work.
-func (c *Coordinator) lookupLocked(name string) (*workerState, error) {
+// touchLocked refreshes the worker's liveness, recording it on first
+// contact.
+func (c *Coordinator) touchLocked(name string) (*workerState, error) {
 	if name == "" {
 		return nil, errors.New("cluster: empty worker name")
 	}
 	w, ok := c.workers[name]
 	if !ok {
-		c.unknownCalls++
-		return nil, fmt.Errorf("%w: %q", ErrUnknownWorker, name)
+		w = &workerState{name: name}
+		c.workers[name] = w
+		c.log.Info("worker joined", "worker", name, "workers", len(c.workers))
 	}
 	w.lastSeen = c.conf.now()
 	return w, nil
 }
 
-// Lease grants up to max pending items to the worker, preferring items
-// the hash ring places on it and stealing any other available item
-// otherwise. It returns the granted items (possibly none).
+// Lease grants up to max pending items to the worker, in enqueue order.
+// It returns the granted items (possibly none).
 func (c *Coordinator) Lease(workerName string, max int) ([]Item, error) {
 	if max <= 0 || max > c.conf.MaxBatch {
 		max = c.conf.MaxBatch
@@ -324,26 +255,18 @@ func (c *Coordinator) Lease(workerName string, max int) ([]Item, error) {
 	defer c.mu.Unlock()
 	now := c.conf.now()
 	c.sweepLocked(now)
-	if _, err := c.lookupLocked(workerName); err != nil {
+	if _, err := c.touchLocked(workerName); err != nil {
 		return nil, err
 	}
 
-	var owned, stealable []*item
+	var out []Item
 	for _, id := range c.order {
+		if len(out) >= max {
+			break
+		}
 		it := c.items[id]
 		if it.state != ItemPending || now.Before(it.notBefore) {
 			continue
-		}
-		if c.ring.owner(it.fp) == workerName {
-			owned = append(owned, it)
-		} else {
-			stealable = append(stealable, it)
-		}
-	}
-	var out []Item
-	for _, it := range append(owned, stealable...) {
-		if len(out) >= max {
-			break
 		}
 		it.state = ItemLeased
 		it.worker = workerName
@@ -366,7 +289,7 @@ func (c *Coordinator) Heartbeat(workerName string, ids []string) (lost []string,
 	defer c.mu.Unlock()
 	now := c.conf.now()
 	c.sweepLocked(now)
-	if _, err := c.lookupLocked(workerName); err != nil {
+	if _, err := c.touchLocked(workerName); err != nil {
 		return nil, err
 	}
 	for _, id := range ids {
@@ -384,14 +307,12 @@ func (c *Coordinator) Heartbeat(workerName string, ids []string) (lost []string,
 // worker. A report for a lease the worker no longer holds is dropped as
 // stale — the first valid completion wins, which is harmless because
 // every item is a deterministic simulation. A failure report costs one
-// attempt and requeues the item with backoff (or quarantines it), and
-// so does a successful report whose provenance stamp fails
-// Config.VerifyCompletion.
-func (c *Coordinator) Complete(workerName, id string, result, stamp json.RawMessage, errMsg string) (accepted bool, err error) {
+// attempt and requeues the item with backoff (or quarantines it).
+func (c *Coordinator) Complete(workerName, id string, result json.RawMessage, errMsg string) (accepted bool, err error) {
 	c.mu.Lock()
 	now := c.conf.now()
 	c.sweepLocked(now)
-	w, lerr := c.lookupLocked(workerName)
+	w, lerr := c.touchLocked(workerName)
 	if lerr != nil {
 		c.mu.Unlock()
 		return false, lerr
@@ -409,18 +330,6 @@ func (c *Coordinator) Complete(workerName, id string, result, stamp json.RawMess
 		c.log.Warn("attempt failed", "item", id, "worker", workerName, "attempts", it.attempts, "err", errMsg)
 		c.mu.Unlock()
 		return true, nil
-	}
-	if c.conf.VerifyCompletion != nil {
-		if verr := c.conf.VerifyCompletion(it.Kind, it.Payload, result, stamp); verr != nil {
-			c.stampRejected++
-			it.lastErr = "provenance stamp rejected: " + verr.Error()
-			w.requeued++
-			c.requeueLocked(it, now)
-			c.log.Warn("completion stamp rejected", "item", id, "worker", workerName,
-				"attempts", it.attempts, "err", verr.Error())
-			c.mu.Unlock()
-			return false, nil
-		}
 	}
 	it.state = ItemDone
 	it.result = result
@@ -449,26 +358,9 @@ func (c *Coordinator) requeueLocked(it *item, now time.Time) {
 		c.log.Error("item quarantined", "item", it.ID, "attempts", it.attempts, "last_err", it.lastErr)
 		return
 	}
-	// Clamp the exponent before shifting: with a large RetryBudget the
-	// shift can exceed 63 bits and wrap to a small positive duration that
-	// the <= 0 guard below never catches.
-	backoff := c.conf.BackoffMax
-	if shift := it.attempts - 1; shift < 63 && c.conf.BackoffBase<<shift>>shift == c.conf.BackoffBase {
-		backoff = c.conf.BackoffBase << shift
-	}
-	if backoff > c.conf.BackoffMax || backoff <= 0 {
-		backoff = c.conf.BackoffMax
-	}
-	// Subtract-only jitter: the wait stays within the clamped exponential
-	// window (tests and capacity planning can still reason about the
-	// ceiling) while a batch of items requeued by one dead worker fans
-	// back out instead of stampeding the next lease call together.
-	if frac := c.conf.BackoffJitter; frac > 0 {
-		backoff -= time.Duration(float64(backoff) * frac *
-			jitter01(it.ID, strconv.Itoa(it.attempts), strconv.FormatInt(c.conf.Seed, 10)))
-	}
 	it.state = ItemPending
-	it.notBefore = now.Add(backoff)
+	it.notBefore = now.Add(backoff(c.conf.BackoffBase, c.conf.BackoffMax, it.attempts,
+		requeueJitter, it.ID, strconv.Itoa(it.attempts)))
 	c.requeued++
 }
 
@@ -479,8 +371,9 @@ func orStr(s, fallback string) string {
 	return s
 }
 
-// sweepLocked requeues expired leases and drops silent workers from the
-// ring. Called under mu from every API entry point and the janitor.
+// sweepLocked requeues expired leases and forgets workers silent for
+// three lease TTLs. Called under mu from every API entry point and the
+// janitor.
 func (c *Coordinator) sweepLocked(now time.Time) {
 	for _, id := range c.order {
 		it := c.items[id]
@@ -495,9 +388,8 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		}
 	}
 	for name, w := range c.workers {
-		if now.Sub(w.lastSeen) > c.conf.WorkerTTL {
+		if now.Sub(w.lastSeen) > 3*c.conf.LeaseTTL {
 			delete(c.workers, name)
-			c.ring.remove(name)
 			c.evicted++
 			c.log.Warn("worker evicted after missed heartbeats", "worker", name)
 		}
@@ -543,15 +435,9 @@ type Stats struct {
 	Completed     uint64 `json:"completed"`
 	QuarantinedN  uint64 `json:"quarantined_total"`
 	StaleReports  uint64 `json:"stale_reports"`
-	// StampRejected counts successful completions refused because their
-	// provenance stamp failed verification.
-	StampRejected uint64 `json:"stamp_rejected"`
-	// WorkersEvicted counts workers dropped from the ring after missing
-	// enough heartbeats; UnknownWorkerCalls counts protocol calls
-	// rejected with ErrUnknownWorker (each one is a worker being pushed
-	// back through registration).
-	WorkersEvicted     uint64 `json:"workers_evicted"`
-	UnknownWorkerCalls uint64 `json:"unknown_worker_calls"`
+	// WorkersEvicted counts workers forgotten after three lease TTLs of
+	// silence.
+	WorkersEvicted uint64 `json:"workers_evicted"`
 
 	Workers []WorkerStats `json:"workers"`
 }
@@ -563,15 +449,13 @@ func (c *Coordinator) Stats() Stats {
 	defer c.mu.Unlock()
 	c.sweepLocked(c.conf.now())
 	s := Stats{
-		LeasesGranted:      c.leasesGranted,
-		LeaseExpired:       c.leaseExpired,
-		Requeued:           c.requeued,
-		Completed:          c.completed,
-		QuarantinedN:       c.quarantined,
-		StaleReports:       c.staleReports,
-		StampRejected:      c.stampRejected,
-		WorkersEvicted:     c.evicted,
-		UnknownWorkerCalls: c.unknownCalls,
+		LeasesGranted:  c.leasesGranted,
+		LeaseExpired:   c.leaseExpired,
+		Requeued:       c.requeued,
+		Completed:      c.completed,
+		QuarantinedN:   c.quarantined,
+		StaleReports:   c.staleReports,
+		WorkersEvicted: c.evicted,
 	}
 	held := make(map[string]int)
 	for _, id := range c.order {

@@ -17,44 +17,30 @@ import (
 	"repro/internal/workload"
 )
 
-// TestStrictRegistrationRejectsUnknownWorker: lease, heartbeat and
-// complete from a worker the coordinator never met fail with
-// ErrUnknownWorker (409 over HTTP) instead of silently auto-registering
-// it off the ring.
-func TestStrictRegistrationRejectsUnknownWorker(t *testing.T) {
+// TestUnseenWorkerLeasesOnFirstCall: a worker the coordinator has never
+// heard from (it restarted, or the worker skipped /register) gets work
+// on its first lease call and is recorded like a registered one.
+func TestUnseenWorkerLeasesOnFirstCall(t *testing.T) {
 	co := NewCoordinator(Config{})
-	co.Enqueue(KindSim, json.RawMessage(`{}`), "aa")
-
-	if _, err := co.Lease("ghost", 1); !errors.Is(err, ErrUnknownWorker) {
-		t.Fatalf("Lease from unregistered worker = %v, want ErrUnknownWorker", err)
-	}
-	if _, err := co.Heartbeat("ghost", []string{"x"}); !errors.Is(err, ErrUnknownWorker) {
-		t.Fatalf("Heartbeat from unregistered worker = %v, want ErrUnknownWorker", err)
-	}
-	if _, err := co.Complete("ghost", "x", nil, nil, ""); !errors.Is(err, ErrUnknownWorker) {
-		t.Fatalf("Complete from unregistered worker = %v, want ErrUnknownWorker", err)
-	}
-	if s := co.Stats(); s.UnknownWorkerCalls != 3 {
-		t.Errorf("UnknownWorkerCalls = %d, want 3", s.UnknownWorkerCalls)
-	}
-
+	id := co.Enqueue(KindSim, json.RawMessage(`{}`))
 	ts := mountCoordinator(t, co)
+
 	resp, err := http.Post(ts.URL+"/v1/cluster/lease", "application/json",
 		strings.NewReader(`{"worker":"ghost","max":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("HTTP status for unknown worker = %d, want 409", resp.StatusCode)
-	}
-
-	// After registering, the same worker leases normally.
-	if err := co.Register("ghost"); err != nil {
+	var lease leaseResponse
+	if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := co.Lease("ghost", 1); err != nil || len(got) != 1 {
-		t.Fatalf("post-registration lease = (%v, %v), want the item", got, err)
+	if resp.StatusCode != http.StatusOK || len(lease.Items) != 1 || lease.Items[0].ID != id {
+		t.Fatalf("first lease from an unseen worker = %d %+v, want 200 with the item", resp.StatusCode, lease)
+	}
+	s := co.Stats()
+	if len(s.Workers) != 1 || s.Workers[0].Name != "ghost" || s.Workers[0].Leased != 1 {
+		t.Fatalf("workers after the lease = %+v, want ghost holding one item", s.Workers)
 	}
 }
 
@@ -102,9 +88,8 @@ func TestWorkerPostRetriesTransient(t *testing.T) {
 
 // TestWorkerSurvivesCoordinatorRestart: the coordinator is replaced by a
 // fresh instance with no memory of the worker (membership, leases and
-// queue all gone). The worker's next call draws a 409, re-registers
-// transparently, and drains the new coordinator's queue — no restart of
-// the worker fleet needed.
+// queue all gone). The worker keeps calling and drains the new
+// coordinator's queue — no restart of the worker fleet needed.
 func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	var current atomic.Pointer[Coordinator]
 	current.Store(NewCoordinator(Config{LeaseTTL: 2 * time.Second}))
@@ -150,7 +135,7 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := co2.Enqueue(KindSim, payload, job.Fingerprint())
+	id := co2.Enqueue(KindSim, payload)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -166,21 +151,17 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	if s.Completed != 1 {
 		t.Errorf("new coordinator completed %d items, want 1", s.Completed)
 	}
-	if s.UnknownWorkerCalls == 0 {
-		t.Errorf("restart never rejected the stale worker; re-registration path untested")
-	}
 }
 
 // TestSilentWorkerIsEvicted: a worker that stops heartbeating is dropped
-// from the ring after WorkerTTL of silence and must re-register before it
-// can lease again.
+// from the stats after three lease TTLs of silence, and its next lease
+// is granted.
 func TestSilentWorkerIsEvicted(t *testing.T) {
 	now := time.Unix(4000, 0)
 	clock := &now
 	co := NewCoordinator(Config{
-		LeaseTTL:  9 * time.Second,
-		WorkerTTL: 9 * time.Second,
-		now:       func() time.Time { return *clock },
+		LeaseTTL: 3 * time.Second,
+		now:      func() time.Time { return *clock },
 	})
 	if err := co.Register("w1"); err != nil {
 		t.Fatal(err)
@@ -191,37 +172,30 @@ func TestSilentWorkerIsEvicted(t *testing.T) {
 	if s.WorkersEvicted != 1 || len(s.Workers) != 0 {
 		t.Fatalf("stats after silence = %+v, want w1 evicted", s)
 	}
-	if _, err := co.Lease("w1", 1); !errors.Is(err, ErrUnknownWorker) {
-		t.Fatalf("evicted worker leased without re-registering: %v", err)
-	}
-	if err := co.Register("w1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := co.Lease("w1", 1); err != nil {
-		t.Fatalf("lease after re-registration: %v", err)
+	id := co.Enqueue(KindSim, json.RawMessage(`{}`))
+	if got, err := co.Lease("w1", 1); err != nil || len(got) != 1 || got[0].ID != id {
+		t.Fatalf("lease after eviction = (%v, %v), want the item", got, err)
 	}
 }
 
 // TestRequeueBackoffJitterDeterministic: the jitter is a pure function
-// of (item, attempt, seed) — identical across coordinators with the
-// same seed, bounded below by 1−jitter, and removable.
+// of (item, attempt) — identical across coordinators and bounded below
+// by 1−jitter.
 func TestRequeueBackoffJitterDeterministic(t *testing.T) {
-	backoffAfterOneFailure := func(seed int64, jitter float64) time.Duration {
+	backoffAfterOneFailure := func() time.Duration {
 		now := time.Unix(5000, 0)
 		co := NewCoordinator(Config{
-			LeaseTTL: time.Hour, WorkerTTL: 24 * time.Hour,
-			RetryBudget: 5, BackoffBase: time.Second, BackoffMax: time.Minute,
-			BackoffJitter: jitter, Seed: seed,
+			LeaseTTL: time.Hour, RetryBudget: 5, BackoffBase: time.Second, BackoffMax: time.Minute,
 			now: func() time.Time { return now },
 		})
 		if err := co.Register("w1"); err != nil {
 			t.Fatal(err)
 		}
-		id := co.Enqueue(KindSim, json.RawMessage(`{}`), "aa")
+		id := co.Enqueue(KindSim, json.RawMessage(`{}`))
 		if got, err := co.Lease("w1", 1); err != nil || len(got) != 1 {
 			t.Fatalf("lease = (%v, %v)", got, err)
 		}
-		if _, err := co.Complete("w1", id, nil, nil, "boom"); err != nil {
+		if _, err := co.Complete("w1", id, nil, "boom"); err != nil {
 			t.Fatal(err)
 		}
 		co.mu.Lock()
@@ -229,14 +203,11 @@ func TestRequeueBackoffJitterDeterministic(t *testing.T) {
 		return co.items[id].notBefore.Sub(now)
 	}
 
-	a := backoffAfterOneFailure(1, 0)
-	if b := backoffAfterOneFailure(1, 0); a != b {
-		t.Fatalf("same seed produced different backoffs: %v vs %v", a, b)
+	a := backoffAfterOneFailure()
+	if b := backoffAfterOneFailure(); a != b {
+		t.Fatalf("same inputs produced different backoffs: %v vs %v", a, b)
 	}
 	if a < 800*time.Millisecond || a > time.Second {
 		t.Fatalf("jittered backoff %v outside [0.8s, 1s] (base 1s, jitter 0.2)", a)
-	}
-	if off := backoffAfterOneFailure(1, -1); off != time.Second {
-		t.Fatalf("disabled jitter still perturbed the backoff: %v", off)
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -50,10 +49,7 @@ type completeRequest struct {
 	Worker string          `json:"worker"`
 	ID     string          `json:"id"`
 	Result json.RawMessage `json:"result,omitempty"`
-	// Stamp is the worker's provenance attestation (a ledger.Stamp)
-	// over the result; see stamp.go.
-	Stamp json.RawMessage `json:"stamp,omitempty"`
-	Error string          `json:"error,omitempty"`
+	Error  string          `json:"error,omitempty"`
 }
 
 type completeResponse struct {
@@ -88,7 +84,7 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		items, err := c.Lease(req.Worker, req.Max)
 		if err != nil {
-			httpErr(w, statusFor(err), err)
+			httpErr(w, http.StatusBadRequest, err)
 			return
 		}
 		httpJSON(w, http.StatusOK, leaseResponse{Items: items, PollMS: (250 * time.Millisecond).Milliseconds()})
@@ -100,7 +96,7 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		lost, err := c.Heartbeat(req.Worker, req.IDs)
 		if err != nil {
-			httpErr(w, statusFor(err), err)
+			httpErr(w, http.StatusBadRequest, err)
 			return
 		}
 		httpJSON(w, http.StatusOK, heartbeatResponse{Lost: lost})
@@ -110,9 +106,9 @@ func (c *Coordinator) Handler() http.Handler {
 		if !decode(w, r, &req) {
 			return
 		}
-		accepted, err := c.Complete(req.Worker, req.ID, req.Result, req.Stamp, req.Error)
+		accepted, err := c.Complete(req.Worker, req.ID, req.Result, req.Error)
 		if err != nil {
-			httpErr(w, statusFor(err), err)
+			httpErr(w, http.StatusBadRequest, err)
 			return
 		}
 		httpJSON(w, http.StatusOK, completeResponse{Accepted: accepted})
@@ -121,17 +117,6 @@ func (c *Coordinator) Handler() http.Handler {
 		httpJSON(w, http.StatusOK, c.Stats())
 	})
 	return mux
-}
-
-// statusFor maps coordinator errors to HTTP codes. ErrUnknownWorker is
-// 409 Conflict — a protocol-state mismatch the worker repairs by
-// re-registering — so clients can tell it apart from a malformed
-// request's 400, which retrying will never fix.
-func statusFor(err error) int {
-	if errors.Is(err, ErrUnknownWorker) {
-		return http.StatusConflict
-	}
-	return http.StatusBadRequest
 }
 
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {

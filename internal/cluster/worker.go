@@ -25,7 +25,7 @@ import (
 // results. It is fail-stop by design — a worker that dies mid-batch
 // simply stops heartbeating and the coordinator requeues its leases.
 type Worker struct {
-	// Name identifies the worker on the hash ring; required and unique
+	// Name identifies the worker to the coordinator; required and unique
 	// per cluster.
 	Name string
 	// Coordinator is the job server's base URL (e.g. http://host:8080);
@@ -43,14 +43,11 @@ type Worker struct {
 	// Logger receives structured worker logs; nil discards.
 	Logger *slog.Logger
 
-	// RetryAttempts bounds how many times one protocol call is tried
-	// before its error surfaces; <= 0 means 6. RetryBase and RetryMax
-	// shape the exponential backoff between tries (defaults 100ms and
-	// 5s); the wait is jittered deterministically by (Name, path,
-	// attempt).
-	RetryAttempts int
-	RetryBase     time.Duration
-	RetryMax      time.Duration
+	// RetryBase and RetryMax shape the exponential backoff between the
+	// retryAttempts tries of one protocol call (defaults 100ms and 5s);
+	// the wait is jittered deterministically by (Name, path, attempt).
+	RetryBase time.Duration
+	RetryMax  time.Duration
 
 	// Hooks expose fault-injection seams for tests and the chaos soak
 	// runner; all-nil in production.
@@ -109,9 +106,12 @@ func transient(err error) bool {
 	return errors.As(err, &ue)
 }
 
-// postOnce sends one protocol call and decodes the response into out. A
-// 409 surfaces as ErrUnknownWorker (the coordinator forgot us); other
-// non-200s surface as statusError for the retry classifier.
+// retryAttempts bounds how many times one protocol call is tried before
+// its error surfaces.
+const retryAttempts = 6
+
+// postOnce sends one protocol call and decodes the response into out.
+// Non-200s surface as statusError for the retry classifier.
 func (w *Worker) postOnce(ctx context.Context, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
@@ -130,9 +130,6 @@ func (w *Worker) postOnce(ctx context.Context, path string, in, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-		if resp.StatusCode == http.StatusConflict {
-			return fmt.Errorf("%w (%s: %s)", ErrUnknownWorker, path, bytes.TrimSpace(msg))
-		}
 		return &statusError{status: resp.StatusCode,
 			msg: fmt.Sprintf("cluster: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))}
 	}
@@ -143,16 +140,9 @@ func (w *Worker) postOnce(ctx context.Context, path string, in, out any) error {
 }
 
 // post sends one protocol call, retrying transient failures (transport
-// errors, 5xx) with jittered exponential backoff. When the coordinator
-// answers 409 — it restarted, or evicted this worker after missed
-// heartbeats — post re-registers and retries, so a coordinator bounce
-// looks like one slow call instead of a dead worker. Permanent errors
+// errors, 5xx) with jittered exponential backoff. Permanent errors
 // return immediately.
 func (w *Worker) post(ctx context.Context, path string, in, out any) error {
-	attempts := w.RetryAttempts
-	if attempts <= 0 {
-		attempts = 6
-	}
 	base := w.RetryBase
 	if base <= 0 {
 		base = 100 * time.Millisecond
@@ -162,20 +152,9 @@ func (w *Worker) post(ctx context.Context, path string, in, out any) error {
 		max = 5 * time.Second
 	}
 	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			backoff := max
-			if shift := attempt - 1; shift < 63 && base<<shift>>shift == base {
-				backoff = base << shift
-			}
-			if backoff > max || backoff <= 0 {
-				backoff = max
-			}
-			backoff -= time.Duration(float64(backoff) * 0.5 *
-				jitter01(w.Name, path, strconv.Itoa(attempt)))
-			if !sleepCtx(ctx, backoff) {
-				return ctx.Err()
-			}
+	for attempt := 0; attempt < retryAttempts; attempt++ {
+		if attempt > 0 && !sleepCtx(ctx, backoff(base, max, attempt, retryJitter, w.Name, path, strconv.Itoa(attempt))) {
+			return ctx.Err()
 		}
 		err = w.postOnce(ctx, path, in, out)
 		if err == nil {
@@ -183,13 +162,6 @@ func (w *Worker) post(ctx context.Context, path string, in, out any) error {
 		}
 		if ctx.Err() != nil {
 			return err
-		}
-		if errors.Is(err, ErrUnknownWorker) && path != "/register" {
-			w.log().Warn("coordinator does not know us; re-registering", "path", path)
-			if rerr := w.register(ctx); rerr != nil {
-				w.log().Warn("re-register failed", "err", rerr.Error())
-			}
-			continue
 		}
 		if !transient(err) {
 			return err
@@ -200,9 +172,8 @@ func (w *Worker) post(ctx context.Context, path string, in, out any) error {
 	return err
 }
 
-// register announces the worker and adopts the coordinator's pacing. It
-// deliberately uses postOnce: post calls register on 409, and the
-// caller (Run's registration loop, or post itself) already retries.
+// register announces the worker and adopts the coordinator's pacing.
+// Run's registration loop retries it.
 func (w *Worker) register(ctx context.Context) error {
 	var resp registerResponse
 	if err := w.postOnce(ctx, "/register", registerRequest{Worker: w.Name}, &resp); err != nil {
@@ -323,10 +294,6 @@ func (w *Worker) runBatch(ctx context.Context, items []Item) {
 			if err != nil {
 				req.Result = nil
 				req.Error = err.Error()
-			} else if stamp, serr := StampCompletion(it.Kind, it.Payload, result); serr == nil {
-				// Every successful completion is stamped; a coordinator
-				// running without verification simply ignores it.
-				req.Stamp = stamp
 			}
 			reporting.Lock()
 			defer reporting.Unlock()

@@ -53,7 +53,8 @@ type BatcherCounters struct {
 	Sealed uint64
 	// Batches counts sealed batches.
 	Batches uint64
-	// Errors counts leaves whose batch failed to seal.
+	// Errors counts leaves whose batch failed to seal or that were
+	// submitted after Close.
 	Errors uint64
 }
 
@@ -120,6 +121,7 @@ func (b *Batcher) Submit(leaf Leaf) *Ticket {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
+		b.errs.Add(1)
 		t.err = ErrBatcherClosed
 		close(t.done)
 		return t

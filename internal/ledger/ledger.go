@@ -296,29 +296,6 @@ func (l *Ledger) publishVerified(data []byte) error {
 	return fmt.Errorf("%w: %v", ErrUnverifiedAppend, lastErr)
 }
 
-// proofLocked builds the inclusion proof for one located leaf.
-func (l *Ledger) proofLocked(ref leafRef) InclusionProof {
-	rec := l.records[ref.rec]
-	hashes := make([][32]byte, len(rec.Leaves))
-	for i, leaf := range rec.Leaves {
-		hashes[i] = leaf.Hash()
-	}
-	levels := merkleLevels(hashes)
-	path := siblingPath(levels, ref.leaf)
-	hexPath := make([]string, len(path))
-	for i, p := range path {
-		hexPath[i] = hex.EncodeToString(p[:])
-	}
-	return InclusionProof{
-		Seq:   rec.Seq,
-		Index: ref.leaf,
-		Leaf:  rec.Leaves[ref.leaf],
-		Path:  hexPath,
-		Root:  rec.Root,
-		Head:  rec.Head,
-	}
-}
-
 // Proof returns the inclusion proof for the newest leaf recorded under
 // key, optionally filtered to one leaf kind ("" accepts any).
 func (l *Ledger) Proof(key, kind string) (InclusionProof, error) {
@@ -328,7 +305,7 @@ func (l *Ledger) Proof(key, kind string) (InclusionProof, error) {
 	for i := len(refs) - 1; i >= 0; i-- {
 		leaf := l.records[refs[i].rec].Leaves[refs[i].leaf]
 		if kind == "" || leaf.Kind == kind {
-			return l.proofLocked(refs[i]), nil
+			return ProofsFor(l.records[refs[i].rec])[refs[i].leaf], nil
 		}
 	}
 	return InclusionProof{}, fmt.Errorf("%w: %s", ErrNoProof, key)

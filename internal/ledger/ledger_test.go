@@ -305,6 +305,9 @@ func TestBatcherCloseDrainsAndRejects(t *testing.T) {
 	if _, err := late.Proof(); !errors.Is(err, ledger.ErrBatcherClosed) {
 		t.Fatalf("submit after Close = %v, want ErrBatcherClosed", err)
 	}
+	if c := b.Counters(); c.Errors != 1 {
+		t.Fatalf("counters after a submit past Close = %+v, want it counted in Errors", c)
+	}
 }
 
 // TestRecordingStoreAuditLifecycle walks the full provenance loop:

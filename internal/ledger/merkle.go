@@ -20,12 +20,10 @@ import (
 
 // Leaf kinds. A result leaf commits to a stored simulation result; an
 // admission leaf records that the serve path accepted a job (what was
-// asked, by which code) before any result exists; a completion leaf is
-// a cluster worker's attestation over the raw bytes it handed back.
+// asked, by which code) before any result exists.
 const (
-	LeafResult     = "result"
-	LeafAdmission  = "admission"
-	LeafCompletion = "completion"
+	LeafResult    = "result"
+	LeafAdmission = "admission"
 )
 
 // Leaf is one provenance fact: what (key, digest), produced how
@@ -135,26 +133,6 @@ func foldPath(leaf [32]byte, index int, path [][32]byte) [32]byte {
 		index >>= 1
 	}
 	return h
-}
-
-// Stamp is a producer's attestation over work it hands to someone
-// else's ledger: the leaf it vouches for plus that leaf's hash. A
-// worker has no ledger of its own — the coordinator seals the leaf —
-// so the stamp is the half of an inclusion proof the producer can
-// compute: a binding commitment to exactly what it returned.
-type Stamp struct {
-	Leaf     Leaf   `json:"leaf"`
-	LeafHash string `json:"leaf_hash"`
-}
-
-// Verify checks the stamp's internal consistency: the recorded hash
-// must be the hash of the recorded leaf.
-func (s Stamp) Verify() error {
-	h := s.Leaf.Hash()
-	if hex.EncodeToString(h[:]) != s.LeafHash {
-		return errors.New("ledger: stamp hash does not match its leaf")
-	}
-	return nil
 }
 
 // InclusionProof ties one leaf to a sealed batch and to the ledger

@@ -34,6 +34,15 @@ func WriteFileAtomicFS(fsys FS, path string, data []byte, perm os.FileMode) erro
 // writeFileAtomic is WriteFileAtomic over an explicit filesystem — the
 // seam the store threads its (possibly chaos-wrapped) FS through.
 func writeFileAtomic(fsys FS, path string, data []byte, perm os.FileMode) error {
+	if err := renameIntoPlace(fsys, path, data, perm); err != nil {
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(path))
+}
+
+// renameIntoPlace is writeFileAtomic without the closing directory
+// fsync: once it returns nil, data is live at path.
+func renameIntoPlace(fsys FS, path string, data []byte, perm os.FileMode) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -65,5 +74,5 @@ func writeFileAtomic(fsys FS, path string, data []byte, perm os.FileMode) error 
 		fsys.Remove(name)
 		return err
 	}
-	return fsys.SyncDir(dir)
+	return nil
 }

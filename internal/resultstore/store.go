@@ -301,7 +301,8 @@ func (s *Store) quarantine(path, key string) {
 }
 
 // Store implements engine.ResultStore: it persists res under key with an
-// atomic write-then-rename, so a crash never leaves a partial entry.
+// atomic write-then-rename, so a crash never leaves a partial entry. An
+// error means no new entry is visible.
 func (s *Store) Store(key string, j engine.Job, res *engine.Result) error {
 	if !keyRE.MatchString(key) {
 		s.errs.Add(1)
@@ -334,9 +335,16 @@ func (s *Store) Store(key string, j engine.Job, res *engine.Result) error {
 		s.errs.Add(1)
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	if err := writeFileAtomic(s.fs, path, data, 0o644); err != nil {
+	if err := renameIntoPlace(s.fs, path, data, 0o644); err != nil {
 		s.errs.Add(1)
 		return fmt.Errorf("resultstore: %w", err)
+	}
+	// The entry is live from the rename on, so a failed directory fsync
+	// is counted but not returned: callers (the ledger's recording hook)
+	// take an error to mean nothing was published. The worst it costs is
+	// an entry a host crash may drop, which a cache re-simulates.
+	if err := s.fs.SyncDir(filepath.Dir(path)); err != nil {
+		s.errs.Add(1)
 	}
 	s.writes.Add(1)
 	return nil

@@ -202,9 +202,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		mw.counter("proteus_cluster_completed_total", cs.Completed)
 		mw.counter("proteus_cluster_quarantined_total", cs.QuarantinedN)
 		mw.counter("proteus_cluster_stale_reports_total", cs.StaleReports)
-		mw.counter("proteus_cluster_stamp_rejected_total", cs.StampRejected)
 		mw.counter("proteus_cluster_workers_evicted_total", cs.WorkersEvicted)
-		mw.counter("proteus_cluster_unknown_worker_total", cs.UnknownWorkerCalls)
 		for _, m := range []struct {
 			name string
 			get  func(w cluster.WorkerStats) uint64

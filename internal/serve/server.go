@@ -611,7 +611,7 @@ func (s *Server) handleLedgerHead(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleLedgerProof returns the inclusion proof for the newest leaf
-// under ?key=…, optionally narrowed by ?kind=result|admission|completion.
+// under ?key=…, optionally narrowed by ?kind=result|admission.
 func (s *Server) handleLedgerProof(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {

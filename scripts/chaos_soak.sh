@@ -6,7 +6,9 @@
 # network faults (drops, delays, duplicates, 5xx) and process faults
 # (worker killed mid-batch, stalls past the lease TTL), and asserts the
 # two reports are byte-identical. The run fails on any mismatch, any
-# quarantined cluster item, or corruption that survives the final scrub.
+# quarantined cluster item, any store entry diverging from the ledger,
+# corruption that survives the final scrub, or an audit-divergent or
+# unledgered entry.
 #
 # Env overrides: SEED (default 42), DURATION (default 60s),
 # WORKERS (default 3), OUT_DIR (default a temp dir; soak report and
