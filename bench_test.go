@@ -439,6 +439,57 @@ func BenchmarkWorkloadBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerate measures micro-op generation, one sub-benchmark per
+// scheme, over one queue workload built once at Figure 6's benchmark
+// shape (2 threads, SimScale 100, InitScale 4). Run with -benchmem:
+// bytes/op is what generating one workload's traces allocates.
+func BenchmarkGenerate(b *testing.B) {
+	p := workload.Queue.DefaultParams(1)
+	p.Threads = 2
+	p.SimOps /= 100
+	p.InitOps /= 4
+	p.SSItems /= 4
+	w, err := workload.Build(workload.Queue, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := config.Default()
+	cfg.Cores = p.Threads
+	for _, s := range core.Schemes {
+		b.Run(s.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := logging.GenerateOpts(w, s, cfg, logging.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLitmusCase measures one litmus case end to end on one worker:
+// compile the first curated program, generate its Proteus traces, step
+// the machine cycle by cycle taking the persist signature each cycle, and
+// inject every fault model at each distinct persist state. The litmus
+// sweep is thousands of such cases.
+func BenchmarkLitmusCase(b *testing.B) {
+	cfg := litmus.Config{
+		Programs: litmus.Curated()[:1],
+		Schemes:  []core.Scheme{core.Proteus},
+		Workers:  1,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := litmus.Run(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Totals.Divergences != 0 {
+			b.Fatalf("%d divergences", rep.Totals.Divergences)
+		}
+	}
+}
+
 // benchLedger opens a fresh ledger in a per-call temp dir. The
 // admission benchmarks rotate to a new one periodically so the
 // append-rewrites-whole-file cost stays representative of a live

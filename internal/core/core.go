@@ -250,8 +250,13 @@ func (s *System) Device() *nvm.Device { return s.dev }
 func (s *System) Store() *nvm.Store { return s.store }
 
 // SetStepper selects the Step implementation; call it before the run
-// starts. The default is StepperFast.
-func (s *System) SetStepper(st Stepper) { s.stepper = st }
+// starts. The default is StepperFast. The reference stepper also makes
+// the memory controller scan for writes to issue on every cycle, so the
+// controller's issue gate is checked against that per-cycle scan.
+func (s *System) SetStepper(st Stepper) {
+	s.stepper = st
+	s.mc.IssueEveryCycle(st == StepperReference)
+}
 
 // Cycle returns the current simulation cycle.
 func (s *System) Cycle() uint64 { return s.cycle }

@@ -13,6 +13,7 @@ package logging
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -32,42 +33,103 @@ func Generate(w *workload.Workload, scheme core.Scheme, cfg config.Config) ([]*i
 
 // gen carries per-thread generation state.
 type gen struct {
-	tr      *isa.Trace
+	ops     opBuf
 	alu     uint64
 	aluTxn  uint64
 	scheme  core.Scheme
 	opts    Options
 	thread  int
 	img     *nvm.Store        // functional image after initialization
-	overlay map[uint64]uint64 // word-level committed state on top of img
+	overlay map[uint64]uint64 // word-level committed state on top of img (software logging only)
 	swLog   uint64            // software log area base
 	logFlag uint64
 }
 
 func generateThreadOpts(h *heap.Heap, scheme core.Scheme, cfg config.Config, img *nvm.Store, opts Options) (*isa.Trace, error) {
 	g := &gen{
-		tr:      &isa.Trace{},
 		alu:     uint64(cfg.Core.AluPerMem),
 		aluTxn:  uint64(cfg.Core.AluPerTxn),
 		scheme:  scheme,
 		opts:    opts,
 		thread:  h.Thread(),
 		img:     img,
-		overlay: make(map[uint64]uint64),
 		swLog:   logfmt.SWLogBase(h.Thread()),
 		logFlag: logfmt.LogFlagAddr(h.Thread()),
 	}
+	// Only the software-logging schemes read pre-images (preWord), so only
+	// they track the committed state.
+	if scheme == core.PMEM || scheme == core.PMEMPcommit {
+		g.overlay = make(map[uint64]uint64)
+	}
 	for _, txn := range h.Txns {
 		if err := g.emitTxn(txn); err != nil {
+			g.ops.release()
 			return nil, err
 		}
 		// The transaction is committed; fold its writes into the
 		// committed state used for later pre-images.
-		for a, v := range txn.Post {
-			g.overlay[a] = v
+		if g.overlay != nil {
+			for a, v := range txn.Post {
+				g.overlay[a] = v
+			}
 		}
 	}
-	return g.tr, nil
+	return &isa.Trace{Ops: g.ops.finish()}, nil
+}
+
+// chunkOps is the capacity of one staging chunk (6 KB of ops).
+const chunkOps = 256
+
+// chunkPool recycles staging chunks across generations, so building a
+// trace allocates its final slice and nothing that grows.
+var chunkPool = sync.Pool{New: func() any { return new([chunkOps]isa.Op) }}
+
+// opBuf stages a trace's ops in fixed-size chunks. Growing one slice by
+// append copies the trace again at every regrowth (about five times its
+// final size for a long trace); chunks are filled once and copied once,
+// into a slice allocated at the trace's exact length.
+type opBuf struct {
+	full []*[chunkOps]isa.Op
+	cur  *[chunkOps]isa.Op
+	n    int // ops staged in cur
+}
+
+func (b *opBuf) add(o isa.Op) {
+	if b.cur == nil || b.n == chunkOps {
+		if b.cur != nil {
+			b.full = append(b.full, b.cur)
+		}
+		b.cur = chunkPool.Get().(*[chunkOps]isa.Op)
+		b.n = 0
+	}
+	b.cur[b.n] = o
+	b.n++
+}
+
+// finish returns the staged ops in one exactly sized slice (nil when
+// there are none) and releases the chunks.
+func (b *opBuf) finish() []isa.Op {
+	defer b.release()
+	total := len(b.full)*chunkOps + b.n
+	if total == 0 {
+		return nil
+	}
+	ops := make([]isa.Op, 0, total)
+	for _, c := range b.full {
+		ops = append(ops, c[:]...)
+	}
+	return append(ops, b.cur[:b.n]...)
+}
+
+// release returns the chunks to the pool.
+func (b *opBuf) release() {
+	for _, c := range b.full {
+		chunkPool.Put(c)
+	}
+	if b.cur != nil {
+		chunkPool.Put(b.cur)
+	}
+	*b = opBuf{}
 }
 
 // preWord returns the committed (pre-transaction) value of a word.
@@ -88,7 +150,7 @@ func preWordIn(t *heap.Txn, g *gen, addr uint64) uint64 {
 	return g.preWord(addr)
 }
 
-func (g *gen) op(o isa.Op) { g.tr.Append(o) }
+func (g *gen) op(o isa.Op) { g.ops.add(o) }
 
 func (g *gen) aluPad() {
 	if g.alu > 0 {

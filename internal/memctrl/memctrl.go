@@ -68,6 +68,20 @@ type Controller struct {
 	nextRetire uint64 // min doneAt over issued entries (valid when issuedN > 0)
 	readsMin   uint64 // min completion over outstanding reads (valid when len(reads) > 0)
 
+	// muts counts the calls that changed the WPQ or LPQ (append, coalesce,
+	// issue, retire, cancel, LPQ accept/drop/mark/drain) or the force-drain
+	// state. It starts at 1, so a cached value stamped 0 is never current.
+	// Two values are cached against it: the issue gate (the earliest cycle
+	// an unissued write can issue, from nextIssue) and the persist
+	// signature, which is also keyed to the store's write count.
+	muts       uint64
+	gateAt     uint64
+	gateMuts   uint64
+	sig        uint64
+	sigMuts    uint64
+	sigWrites  uint64
+	everyCycle bool // run the issue pass on every cycle (IssueEveryCycle)
+
 	atomScratch map[uint64]bool // reusable AtomTxEnd cancellation set
 }
 
@@ -85,8 +99,16 @@ func New(cfg config.Mem, dev *nvm.Device, store *nvm.Store, st *stats.Mem) *Cont
 		lpq:         make([]LogEntry, 0, cfg.LPQ+1),
 		reads:       make([]uint64, 0, cfg.ReadQ),
 		atomScratch: make(map[uint64]bool),
+		muts:        1,
 	}
 }
+
+// IssueEveryCycle makes Tick run the issue pass on every cycle that has an
+// unissued write, instead of only once the cached gate says one can
+// issue. The reference stepper sets it, so the per-cycle scan stays the
+// oracle the gate is checked against. Either way the same writes issue at
+// the same cycles.
+func (c *Controller) IssueEveryCycle(on bool) { c.everyCycle = on }
 
 // Device returns the attached device (for endurance accounting).
 func (c *Controller) Device() *nvm.Device { return c.dev }
@@ -105,14 +127,12 @@ func (c *Controller) Store() *nvm.Store { return c.store }
 // serviced from it with no device access; they do not check the LPQ.
 func (c *Controller) ReadLine(now uint64, addr uint64) (done uint64, data [isa.LineSize]byte, ok bool) {
 	addr = isa.LineAddr(addr)
-	for i := range c.wpq {
-		if c.wpq[i].addr == addr {
-			// WPQ forwarding: a short fixed lookup cost.
-			if c.st != nil {
-				c.st.WPQForwards++
-			}
-			return now + 4, c.wpq[i].data, true
+	if i := c.youngest(addr); i >= 0 {
+		// WPQ forwarding: a short fixed lookup cost.
+		if c.st != nil {
+			c.st.WPQForwards++
 		}
+		return now + 4, c.wpq[i].data, true
 	}
 	if len(c.reads) >= c.cfg.ReadQ {
 		if c.st != nil {
@@ -139,13 +159,23 @@ func (c *Controller) ReadLine(now uint64, addr uint64) (done uint64, data [isa.L
 func (c *Controller) PeekLine(addr uint64) (uint64, [isa.LineSize]byte, bool) {
 	addr = isa.LineAddr(addr)
 	var data [isa.LineSize]byte
-	for i := range c.wpq {
-		if c.wpq[i].addr == addr {
-			return 0, c.wpq[i].data, true
-		}
+	if i := c.youngest(addr); i >= 0 {
+		return 0, c.wpq[i].data, true
 	}
 	c.store.ReadInto(addr, data[:])
 	return 0, data, true
+}
+
+// youngest returns the index of the most recently accepted WPQ entry for
+// a line, or -1. A line can have two entries — one issued, one accepted
+// after it — and the younger holds the value NVM ends up with.
+func (c *Controller) youngest(addr uint64) int {
+	for i := len(c.wpq) - 1; i >= 0; i-- {
+		if c.wpq[i].addr == addr {
+			return i
+		}
+	}
+	return -1
 }
 
 // --------------------------------------------------------------- writes
@@ -156,14 +186,8 @@ func (c *Controller) PeekLine(addr uint64) (uint64, [isa.LineSize]byte, bool) {
 // into the existing entry.
 func (c *Controller) WriteLine(now uint64, addr uint64, data [isa.LineSize]byte, cause stats.WriteCause) bool {
 	addr = isa.LineAddr(addr)
-	for i := range c.wpq {
-		if c.wpq[i].addr == addr && !c.wpq[i].issued {
-			c.wpq[i].data = data
-			if c.st != nil {
-				c.st.WPQCoalesced++
-			}
-			return true
-		}
+	if c.coalesce(addr, &data) {
+		return true
 	}
 	if len(c.wpq) >= c.cfg.WPQ {
 		if c.st != nil {
@@ -171,10 +195,33 @@ func (c *Controller) WriteLine(now uint64, addr uint64, data [isa.LineSize]byte,
 		}
 		return false
 	}
-	c.seq++
-	c.unissuedN++
-	c.wpq = append(c.wpq, wpqEntry{seq: c.seq, addr: addr, data: data, cause: cause, arrived: now})
+	c.accept(wpqEntry{addr: addr, data: data, cause: cause, arrived: now})
 	return true
+}
+
+// coalesce merges a write into the line's unissued WPQ entry, if it has
+// one.
+func (c *Controller) coalesce(addr uint64, data *[isa.LineSize]byte) bool {
+	for i := range c.wpq {
+		if c.wpq[i].addr == addr && !c.wpq[i].issued {
+			c.wpq[i].data = *data
+			c.muts++
+			if c.st != nil {
+				c.st.WPQCoalesced++
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// accept appends a new unissued entry, stamping its acceptance sequence.
+func (c *Controller) accept(e wpqEntry) {
+	c.seq++
+	e.seq = c.seq
+	c.unissuedN++
+	c.muts++
+	c.wpq = append(c.wpq, e)
 }
 
 // atomWrite is WriteLine plus ATOM log bookkeeping so truncation can
@@ -187,9 +234,7 @@ func (c *Controller) atomWrite(now uint64, addr uint64, data [isa.LineSize]byte,
 		}
 		return false
 	}
-	c.seq++
-	c.unissuedN++
-	c.wpq = append(c.wpq, wpqEntry{seq: c.seq, addr: addr, data: data, cause: cause, arrived: now, atomCore: core + 1, atomTx: tx})
+	c.accept(wpqEntry{addr: addr, data: data, cause: cause, arrived: now, atomCore: core + 1, atomTx: tx})
 	return true
 }
 
@@ -234,7 +279,10 @@ func (c *Controller) ForceDrain(on bool) {
 		c.forceAll++
 	} else if c.forceAll > 0 {
 		c.forceAll--
+	} else {
+		return
 	}
+	c.muts++
 }
 
 // WriteLineEvict is WriteLine for cache evictions: it always accepts, even
@@ -242,21 +290,13 @@ func (c *Controller) ForceDrain(on bool) {
 // line fill cannot be replayed. Overshoot is counted as WPQ full stalls.
 func (c *Controller) WriteLineEvict(now uint64, addr uint64, data [isa.LineSize]byte, cause stats.WriteCause) {
 	addr = isa.LineAddr(addr)
-	for i := range c.wpq {
-		if c.wpq[i].addr == addr && !c.wpq[i].issued {
-			c.wpq[i].data = data
-			if c.st != nil {
-				c.st.WPQCoalesced++
-			}
-			return
-		}
+	if c.coalesce(addr, &data) {
+		return
 	}
 	if len(c.wpq) >= c.cfg.WPQ && c.st != nil {
 		c.st.WPQFullStall++
 	}
-	c.seq++
-	c.unissuedN++
-	c.wpq = append(c.wpq, wpqEntry{seq: c.seq, addr: addr, data: data, cause: cause, arrived: now})
+	c.accept(wpqEntry{addr: addr, data: data, cause: cause, arrived: now})
 }
 
 // Tick advances the controller to cycle now: it retires writes whose
@@ -266,10 +306,11 @@ func (c *Controller) WriteLineEvict(now uint64, addr uint64, data [isa.LineSize]
 // drain is in effect; this leaves a window for write coalescing).
 //
 // Each pass is gated on the event times the controller tracks (read
-// completions, issued-write completions, unissued-entry presence), so a
-// tick in which nothing can happen costs three compares instead of three
-// queue scans. The gates are exact: a skipped pass would not have changed
-// any state.
+// completions, issued-write completions, and the issue gate: the earliest
+// cycle an unissued write can pass its drain and bank gates), so a tick in
+// which nothing can happen costs three compares instead of three queue
+// scans. The gates are exact: a skipped pass would not have changed any
+// state.
 func (c *Controller) Tick(now uint64) {
 	if len(c.reads) > 0 && c.readsMin <= now {
 		c.gcReads(now)
@@ -277,8 +318,17 @@ func (c *Controller) Tick(now uint64) {
 	if c.issuedN > 0 && c.nextRetire <= now {
 		c.retirePass(now)
 	}
-	if c.unissuedN > 0 {
+	if c.unissuedN == 0 {
+		return
+	}
+	if c.everyCycle {
 		c.issuePass(now)
+	} else if c.issueGate() <= now && !c.issuePass(now) {
+		// Nothing could issue after all: a bank the gate saw free has been
+		// busied since by an access that left the queues alone (a read).
+		// The queues are unchanged, so the gate is taken again without a
+		// mutation.
+		c.gateAt = c.nextIssue()
 	}
 }
 
@@ -298,6 +348,7 @@ func (c *Controller) gcReads(now uint64) {
 }
 
 // retirePass retires completed writes, applying their data to the store.
+// Tick runs it only when one is due, so it always changes the WPQ.
 func (c *Controller) retirePass(now uint64) {
 	w := c.wpq[:0]
 	c.issuedN = 0
@@ -328,84 +379,137 @@ func (c *Controller) retirePass(now uint64) {
 		w = append(w, e)
 	}
 	c.wpq = w
+	c.muts++
 }
 
-// markIssued records an entry transitioning to issued in the event caches.
-func (c *Controller) markIssued(doneAt uint64) {
+// issue sends WPQ entry e to the device at cycle now.
+func (c *Controller) issue(e *wpqEntry, now uint64) {
+	e.issued = true
+	e.issueAt = now
+	e.doneAt = c.dev.Access(now, e.addr, true, e.cause)
 	c.issuedN++
 	c.unissuedN--
-	if doneAt < c.nextRetire || c.issuedN == 1 {
-		c.nextRetire = doneAt
+	if e.doneAt < c.nextRetire || c.issuedN == 1 {
+		c.nextRetire = e.doneAt
 	}
+	c.muts++
+}
+
+// readyAt returns the first cycle at which the unissued entry e passes
+// the issue pass's gates, given the banks' current busy times:
+//
+//   - its arrival;
+//   - the drain gate: at or below DrainHi occupancy a write is held back
+//     for MaxWPQAge cycles, leaving a window for writes to coalesce into
+//     it. Log-area writes are never latency-critical (completion is
+//     acceptance) and never read back, so they age 8x longer: a
+//     transaction's worth accumulates and drains as one row batch,
+//     amortizing the expensive NVM activate;
+//   - the bank gate (read priority): a write starts only on a free bank,
+//     so reads arriving meanwhile find their banks idle, except once it
+//     is badly aged (4x MaxWPQAge).
+//
+// A force drain (pcommit) lifts both gates. Bank busy times only rise, so
+// the result stays a lower bound until the queues change.
+func (c *Controller) readyAt(e *wpqEntry) uint64 {
+	if c.forceAll > 0 {
+		return e.arrived
+	}
+	t := e.arrived
+	if len(c.wpq) <= c.drainHi {
+		maxAge := c.maxWPQAge
+		if e.cause != stats.WriteData {
+			maxAge *= 8
+		}
+		t += maxAge
+	}
+	return max(t, min(c.dev.NextFree(e.addr), e.arrived+4*c.maxWPQAge))
+}
+
+// heldBehind reports whether an older write to WPQ entry i's line is still
+// queued, issued or not. Same-address write-write ordering holds i until
+// that write leaves: draining a newer value before an older one would
+// leave the older value in NVM.
+func (c *Controller) heldBehind(i int) bool {
+	for j := 0; j < i; j++ {
+		if c.wpq[j].addr == c.wpq[i].addr {
+			return true
+		}
+	}
+	return false
+}
+
+// nextIssue returns the earliest cycle at which an unissued write can
+// issue: the least readyAt over unissued writes not held behind an older
+// write to their line, or ^uint64(0) when there is none. Tick gates its
+// issue pass on it and NextEvent reports it, so the fast-forward wake and
+// the gate cannot disagree. It stays a lower bound until the next
+// mutation: bank busy times only rise, and a held write is released only
+// by the retire or cancellation of the write ahead of it.
+func (c *Controller) nextIssue() uint64 {
+	t := ^uint64(0)
+	for i := range c.wpq {
+		e := &c.wpq[i]
+		if !e.issued {
+			if r := c.readyAt(e); r < t && !c.heldBehind(i) {
+				t = r
+			}
+		}
+	}
+	return t
+}
+
+// issueGate returns nextIssue as of the last queue mutation.
+func (c *Controller) issueGate() uint64 {
+	if c.gateMuts != c.muts {
+		c.gateAt, c.gateMuts = c.nextIssue(), c.muts
+	}
+	return c.gateAt
 }
 
 // issuePass issues pending writes FR-FCFS style, at a bounded rate so
 // newer entries linger long enough to coalesce: row-buffer hits on free
 // banks first (batching same-row writes amortizes the expensive NVM
-// activates), then oldest-first on free banks, then oldest-first.
-// A force drain (pcommit) lifts the rate bound.
-func (c *Controller) issuePass(now uint64) {
+// activates), then oldest-first on free banks, then oldest-first (aged
+// writes on busy banks). A force drain (pcommit) lifts the rate bound. It
+// reports whether it issued anything.
+func (c *Controller) issuePass(now uint64) bool {
 	budget := 4
 	if c.forceAll > 0 {
 		budget = len(c.wpq)
 	}
+	issued := false
 	for ; budget > 0; budget-- {
 		best := -1
 		bestClass := 3
-	candidates:
 		for i := range c.wpq {
 			e := &c.wpq[i]
-			if e.issued || e.arrived > now {
+			if e.issued || c.readyAt(e) > now {
 				continue
 			}
-			// Same-address write-write ordering: never overtake an older
-			// write to the same line still in the queue (issued or not) —
-			// draining a newer value before an older one would leave the
-			// older value in NVM.
-			for j := 0; j < i; j++ {
-				if c.wpq[j].addr == e.addr {
-					continue candidates
-				}
-			}
-			age := now - e.arrived
-			maxAge := c.maxWPQAge
-			if e.cause != stats.WriteData {
-				// Log-area writes are never latency-critical (completion
-				// is acceptance) and never read back; age them longer so
-				// a transaction's worth accumulates and drains as one
-				// row batch, amortizing the expensive NVM activate.
-				maxAge *= 8
-			}
-			if c.forceAll == 0 && len(c.wpq) <= c.drainHi && age < maxAge {
-				continue
-			}
-			// Read priority: writes only start on a currently-free bank
-			// (reads arriving meanwhile find their banks idle), except
-			// for badly aged entries and force drains.
 			class := 2
 			if c.dev.NextFree(e.addr) <= now {
 				class = 1
 				if c.dev.IsOpenRow(e.addr) {
 					class = 0
 				}
-			} else if c.forceAll == 0 && age < 4*c.maxWPQAge {
+			}
+			// The same-address check is the costly filter, so it runs last
+			// and only for a write that would be picked.
+			if class >= bestClass || c.heldBehind(i) {
 				continue
 			}
-			if class < bestClass {
-				best, bestClass = i, class
-				if class == 0 {
-					break
-				}
+			best, bestClass = i, class
+			if class == 0 {
+				break
 			}
 		}
 		if best < 0 {
 			break
 		}
 		e := &c.wpq[best]
-		e.issued = true
-		e.issueAt = now
-		e.doneAt = c.dev.Access(now, e.addr, true, e.cause)
-		c.markIssued(e.doneAt)
+		c.issue(e, now)
+		issued = true
 		// Burst out every other pending write to the same row while it is
 		// open: one activate serves the whole batch (free of the budget —
 		// row hits only occupy the bank for the burst).
@@ -413,27 +517,19 @@ func (c *Controller) issuePass(now uint64) {
 		// write train (write pausing, a standard PCM-controller
 		// technique).
 		room := 4
-	burst:
 		for i := range c.wpq {
 			if room == 0 {
 				break
 			}
 			o := &c.wpq[i]
-			if o.issued || o.arrived > now || o.addr == e.addr || !c.dev.SameRow(o.addr, e.addr) {
+			if o.issued || o.arrived > now || o.addr == e.addr || !c.dev.SameRow(o.addr, e.addr) || c.heldBehind(i) {
 				continue
 			}
-			for j := 0; j < i; j++ {
-				if c.wpq[j].addr == o.addr {
-					continue burst // same-address ordering
-				}
-			}
-			o.issued = true
-			o.issueAt = now
-			o.doneAt = c.dev.Access(now, o.addr, true, o.cause)
-			c.markIssued(o.doneAt)
+			c.issue(o, now)
 			room--
 		}
 	}
+	return issued
 }
 
 // ------------------------------------------------------------- LPQ (Proteus)
@@ -474,6 +570,7 @@ func (c *Controller) LogFlush(now uint64, e LogEntry) bool {
 		}
 	}
 	c.lpq = append(c.lpq, e)
+	c.muts++
 	if c.st != nil {
 		c.st.LPQAccepted++
 	}
@@ -492,6 +589,7 @@ func (c *Controller) MarkCommit(now uint64, core int, tx uint32, lastLogTo uint6
 		if e.Core == core && e.Tx == tx && e.LogTo == lastLogTo {
 			e.Last = true
 			logfmt.SetProteusLast(&e.Data)
+			c.muts++
 			return true
 		}
 	}
@@ -517,7 +615,16 @@ func (c *Controller) FlashClear(core int, tx uint32) {
 		}
 		l = append(l, e)
 	}
-	c.lpq = l
+	c.shrinkLPQ(l)
+}
+
+// shrinkLPQ installs the LPQ a filtering pass kept, counting a mutation
+// when it dropped anything.
+func (c *Controller) shrinkLPQ(kept []LogEntry) {
+	if len(kept) != len(c.lpq) {
+		c.muts++
+	}
+	c.lpq = kept
 }
 
 // DrainLog writes every LPQ entry of (core, tx) to NVM (the context-switch
@@ -536,7 +643,7 @@ func (c *Controller) DrainLog(now uint64, core int, tx uint32) {
 		}
 		l = append(l, e)
 	}
-	c.lpq = l
+	c.shrinkLPQ(l)
 }
 
 // LPQLen returns the LPQ occupancy.
@@ -596,6 +703,9 @@ func (c *Controller) AtomTxEnd(now uint64, core int, tx uint32, logEntries []uin
 		}
 		w = append(w, e)
 	}
+	if len(w) != len(c.wpq) {
+		c.muts++
+	}
 	c.wpq = w
 
 	var zero [isa.LineSize]byte
@@ -630,7 +740,18 @@ func (c *Controller) AtomTxEnd(now uint64, core int, tx uint32, logEntries []uin
 // under every CrashFault, so an exhaustive crash-point sweep can classify
 // one representative per signature and skip the cycles in between. FNV-1a
 // over the raw bytes keeps the value stable across runs and platforms.
+//
+// A sweep asks on every cycle and most cycles change nothing, so the value
+// is cached until the queues mutate or the store is written.
 func (c *Controller) PersistSig() uint64 {
+	if w := c.store.Writes(); c.sigMuts != c.muts || c.sigWrites != w {
+		c.sig, c.sigMuts, c.sigWrites = c.persistSig(), c.muts, w
+	}
+	return c.sig
+}
+
+// persistSig computes PersistSig from the queues and the store.
+func (c *Controller) persistSig() uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
 	w64 := func(v uint64) {
@@ -768,64 +889,25 @@ func (c *Controller) PendingLines(adr bool) []uint64 {
 // cycle is a sound lower bound: ticking the controller at any cycle in
 // (now, wake) is guaranteed to change nothing.
 //
-// The derivation mirrors Tick exactly. Retires happen at issued entries'
-// completion times; read-queue slots free at read completion times; an
-// unissued entry can first issue at the latest of its arrival, the drain
-// gate opening (age or occupancy or force drain) and the bank gate opening
-// (bank free, age override, or force drain). Bank busy times are frozen
-// while the controller is idle, which is what makes the bound exact.
-// An entry already eligible that was not issued (rate budget, same-address
-// ordering) means the controller is active and 0 is returned.
+// The derivation mirrors Tick exactly: read-queue slots free at read
+// completion times, retires happen at issued entries' completion times,
+// and the next issue is the issue gate Tick itself waits for (nextIssue).
+// A gate at or before now means a write could issue but was not (the
+// rate budget, or it arrived after this cycle's pass): the controller is
+// active and 0 is returned.
 func (c *Controller) NextEvent(now uint64) uint64 {
-	const inf = ^uint64(0)
-	wake := inf
+	wake := ^uint64(0)
 	if len(c.reads) > 0 {
-		if c.readsMin <= now {
-			return 0
-		}
 		wake = c.readsMin
 	}
-	for i := range c.wpq {
-		e := &c.wpq[i]
-		if e.issued {
-			if e.doneAt <= now {
-				return 0
-			}
-			if e.doneAt < wake {
-				wake = e.doneAt
-			}
-			continue
-		}
-		// Earliest cycle the drain gate can pass.
-		tDrain := e.arrived
-		if c.forceAll == 0 && len(c.wpq) <= c.drainHi {
-			maxAge := c.maxWPQAge
-			if e.cause != stats.WriteData {
-				maxAge *= 8
-			}
-			tDrain = e.arrived + maxAge
-		}
-		// Earliest cycle the bank gate can pass: a free bank, the aged-out
-		// override, or a force drain (which ignores bank state).
-		tBank := c.dev.NextFree(e.addr)
-		if c.forceAll > 0 {
-			tBank = 0
-		} else if t2 := e.arrived + 4*c.maxWPQAge; t2 < tBank {
-			tBank = t2
-		}
-		t := e.arrived
-		if tDrain > t {
-			t = tDrain
-		}
-		if tBank > t {
-			t = tBank
-		}
-		if t <= now {
-			return 0 // eligible now but unissued: budget or ordering held it
-		}
-		if t < wake {
-			wake = t
-		}
+	if c.issuedN > 0 {
+		wake = min(wake, c.nextRetire)
+	}
+	if c.unissuedN > 0 {
+		wake = min(wake, c.issueGate())
+	}
+	if wake <= now {
+		return 0
 	}
 	return wake
 }

@@ -267,6 +267,40 @@ func TestSameAddressWriteOrdering(t *testing.T) {
 	}
 }
 
+// TestForwardingReadsYoungestWrite: while a line has an issued write and
+// a newer one queued behind it, reads through the WPQ see the newer value
+// — the one NVM ends up holding.
+func TestForwardingReadsYoungestWrite(t *testing.T) {
+	c, _ := newTestController()
+	var v1, v2 [isa.LineSize]byte
+	v1[0], v2[0] = 1, 2
+	if !c.WriteLine(10, isa.HeapBase, v1, stats.WriteData) {
+		t.Fatal("w1 refused")
+	}
+	c.ForceDrain(true)
+	c.Tick(11)
+	c.ForceDrain(false)
+	if !c.WriteLine(12, isa.HeapBase, v2, stats.WriteData) {
+		t.Fatal("w2 refused")
+	}
+	if c.WPQLen() != 2 {
+		t.Fatalf("WPQLen = %d, want 2 (v1 issued, v2 queued behind it)", c.WPQLen())
+	}
+	if _, got, ok := c.ReadLine(13, isa.HeapBase); !ok || got[0] != 2 {
+		t.Errorf("ReadLine forwards %d (ok=%v), want 2 (the younger write)", got[0], ok)
+	}
+	if _, got, _ := c.PeekLine(isa.HeapBase); got[0] != 2 {
+		t.Errorf("PeekLine forwards %d, want 2 (the younger write)", got[0])
+	}
+	c.ForceDrain(true)
+	for now := uint64(14); now < 100_000 && !c.WPQEmpty(); now++ {
+		c.Tick(now)
+	}
+	if got := c.Store().Read(isa.HeapBase, 1)[0]; got != 2 {
+		t.Fatalf("final NVM value %d, want 2", got)
+	}
+}
+
 func TestAtomTxEndCancelsAndInvalidates(t *testing.T) {
 	c, st := newTestController()
 	base, _ := isa.LogWindow(0)
