@@ -28,8 +28,9 @@ const (
 	VolatileBase   uint64 = 0x3_0000_0000
 	VolatileStride uint64 = 0x0010_0000
 
-	// MaxThreads bounds the per-thread region math.
-	MaxThreads = 64
+	// MaxThreads is the number of heap windows below LogBase: the most
+	// threads whose heap, log and volatile windows stay disjoint.
+	MaxThreads = int((LogBase - HeapBase) / HeapStride)
 )
 
 // HeapWindow returns the [base, limit) persistent-heap window of a thread.

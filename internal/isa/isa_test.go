@@ -1,14 +1,29 @@
 package isa
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
+// TestAddressRegions: every thread below MaxThreads has non-degenerate
+// heap, log and volatile windows inside their regions and classified as
+// such, and no two windows of any threads overlap.
 func TestAddressRegions(t *testing.T) {
-	for thread := 0; thread < 4; thread++ {
+	type window struct {
+		name        string
+		base, limit uint64
+	}
+	var all []window
+	for thread := 0; thread < MaxThreads; thread++ {
 		hb, hl := HeapWindow(thread)
 		lb, ll := LogWindow(thread)
 		vb, vl := VolatileWindow(thread)
 		if hb >= hl || lb >= ll || vb >= vl {
 			t.Fatalf("thread %d: degenerate window", thread)
+		}
+		if hb < HeapBase || hl > LogBase || lb < LogBase || ll > VolatileBase || vb < VolatileBase {
+			t.Errorf("thread %d: window outside its region: heap [%#x,%#x) log [%#x,%#x) volatile %#x",
+				thread, hb, hl, lb, ll, vb)
 		}
 		if !IsPersistentAddr(hb) || !IsPersistentAddr(hl-1) {
 			t.Errorf("heap window of %d not persistent", thread)
@@ -16,18 +31,21 @@ func TestAddressRegions(t *testing.T) {
 		if !IsLogAddr(lb) || !IsLogAddr(ll-1) {
 			t.Errorf("log window of %d not log", thread)
 		}
-		if IsLogAddr(hb) || IsLogAddr(vb) {
-			t.Errorf("non-log address classified as log")
+		if IsLogAddr(hb) || IsLogAddr(hl-1) || IsLogAddr(vb) {
+			t.Errorf("thread %d: non-log address classified as log", thread)
 		}
-		if !IsVolatileAddr(vb) || IsVolatileAddr(hb) || IsVolatileAddr(lb) {
-			t.Errorf("volatile classification wrong")
+		if !IsVolatileAddr(vb) || IsVolatileAddr(hl-1) || IsVolatileAddr(ll-1) {
+			t.Errorf("thread %d: volatile classification wrong", thread)
 		}
+		all = append(all, window{fmt.Sprintf("heap %d", thread), hb, hl},
+			window{fmt.Sprintf("log %d", thread), lb, ll}, window{fmt.Sprintf("volatile %d", thread), vb, vl})
 	}
-	// Windows of different threads must not overlap.
-	h0, h0l := HeapWindow(0)
-	h1, _ := HeapWindow(1)
-	if h0l > h1 {
-		t.Fatalf("heap windows overlap: [%#x,%#x) vs %#x", h0, h0l, h1)
+	for i, a := range all {
+		for _, b := range all[i+1:] {
+			if a.base < b.limit && b.base < a.limit {
+				t.Fatalf("%s [%#x,%#x) overlaps %s [%#x,%#x)", a.name, a.base, a.limit, b.name, b.base, b.limit)
+			}
+		}
 	}
 }
 

@@ -70,6 +70,23 @@ func TestThreadPartitioning(t *testing.T) {
 	}
 }
 
+// TestBuildThreadLimit: Build takes isa.MaxThreads threads, whose heap
+// lines all stay below the log areas, and rejects one thread more.
+func TestBuildThreadLimit(t *testing.T) {
+	p := Params{Threads: isa.MaxThreads, InitOps: 64, SimOps: 1, Seed: 1}
+	w, err := Build(Queue, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := w.InitImage.LinesIn(isa.LogBase, isa.VolatileBase); len(lines) != 0 {
+		t.Fatalf("%d threads leave %d heap lines in the log areas, from %#x", p.Threads, len(lines), lines[0])
+	}
+	p.Threads++
+	if _, err := Build(Queue, p); err == nil {
+		t.Fatalf("Build accepted %d threads", p.Threads)
+	}
+}
+
 func TestDefaultParams(t *testing.T) {
 	for _, k := range Table2 {
 		p := k.DefaultParams(1)
