@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/isa"
@@ -290,7 +291,7 @@ func aluSystem(tb testing.TB, cores int) *core.System {
 	cfg.Cores = cores
 	traces := make([]*isa.Trace, cores)
 	for i := range traces {
-		traces[i] = &isa.Trace{Thread: i, Ops: []isa.Op{{Kind: isa.Alu, Val: 1 << 30}}}
+		traces[i] = &isa.Trace{Ops: []isa.Op{{Kind: isa.Alu, Val: 1 << 30}}}
 	}
 	sys, err := core.NewSystem(cfg, core.Proteus, traces, nil)
 	if err != nil {
@@ -359,10 +360,12 @@ func BenchmarkNewSystemLitmus(b *testing.B) {
 	}
 }
 
-// steadySystem builds a Proteus machine running a real Table-2 queue
-// workload and steps it past warm-up, so every ring, pool, queue and
-// stats buffer has hit its high-water mark before measurement begins.
-func steadySystem(tb testing.TB) *core.System {
+// steadySystem builds a machine running a real Table-2 queue workload
+// under the scheme and steps it past warm-up, so every ring, pool, queue
+// and stats buffer has hit its high-water mark before measurement begins.
+// A streamed machine's cores generate their ops as they go, the way
+// engine jobs run; otherwise they read traces generated up front.
+func steadySystem(tb testing.TB, scheme core.Scheme, streamed bool) *core.System {
 	tb.Helper()
 	p := workload.Queue.DefaultParams(1)
 	p.InitOps /= 8 // keep the build cheap; SimOps full-length so the run outlasts the bench
@@ -372,13 +375,29 @@ func steadySystem(tb testing.TB) *core.System {
 	}
 	cfg := config.Default()
 	cfg.Cores = p.Threads
-	traces, err := logging.Generate(w, core.Proteus, cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sys, err := core.NewSystem(cfg, core.Proteus, traces, w.InitImage)
-	if err != nil {
-		tb.Fatal(err)
+	var sys *core.System
+	if streamed {
+		streams, err := logging.NewStreams(w, scheme, cfg, logging.Options{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		srcs := make([]cpu.Source, len(streams))
+		for i, s := range streams {
+			srcs[i] = s
+		}
+		sys, err = core.NewStreamedSystem(cfg, scheme, srcs, w.InitImage)
+		if err != nil {
+			tb.Fatal(err)
+		}
+	} else {
+		traces, err := logging.Generate(w, scheme, cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sys, err = core.NewSystem(cfg, scheme, traces, w.InitImage)
+		if err != nil {
+			tb.Fatal(err)
+		}
 	}
 	sys.Step(10_000)
 	if sys.Finished() {
@@ -391,7 +410,7 @@ func steadySystem(tb testing.TB) *core.System {
 // once warm, advancing the machine — cores, caches, memory controller,
 // NVM timing, logging — performs zero heap allocations per Step.
 func TestStepSteadyStateAllocFree(t *testing.T) {
-	sys := steadySystem(t)
+	sys := steadySystem(t, core.Proteus, false)
 	if allocs := testing.AllocsPerRun(20, func() { sys.Step(2_000) }); allocs != 0 {
 		t.Fatalf("steady-state Step allocates %.1f times per 2k cycles, want 0", allocs)
 	}
@@ -400,18 +419,38 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestStreamedStepSteadyStateAllocFree is the same guard for streamed
+// machines, whose Step also generates each transaction as a core reaches
+// it: once warm, generation reuses its window and scratch. PMEM and
+// PMEM+pcommit are left out because their generator folds every committed
+// transaction's writes into a committed-state overlay map (the pre-images
+// of later undo-log entries), which grows with the run's write footprint.
+func TestStreamedStepSteadyStateAllocFree(t *testing.T) {
+	for _, scheme := range []core.Scheme{core.Proteus, core.PMEMNoLog} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			sys := steadySystem(t, scheme, true)
+			if allocs := testing.AllocsPerRun(20, func() { sys.Step(2_000) }); allocs != 0 {
+				t.Fatalf("steady-state streamed Step allocates %.1f times per 2k cycles, want 0", allocs)
+			}
+			if sys.Finished() {
+				t.Fatal("workload finished during measurement; shorten the measured spans")
+			}
+		})
+	}
+}
+
 // BenchmarkStepSteadyState measures the per-cycle cost of the full
 // machine under a real logging workload (queue benchmark, Proteus
 // scheme), mid-run. Compare against BenchmarkStepNilTracer, which bounds
 // the same loop from below with pure ALU work.
 func BenchmarkStepSteadyState(b *testing.B) {
-	sys := steadySystem(b)
+	sys := steadySystem(b, core.Proteus, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if sys.Finished() {
 			b.StopTimer()
-			sys = steadySystem(b)
+			sys = steadySystem(b, core.Proteus, false)
 			b.StartTimer()
 		}
 		sys.Step(2_000)

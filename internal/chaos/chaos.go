@@ -26,7 +26,6 @@ package chaos
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 )
@@ -121,17 +120,4 @@ func (in *Injector) Total() uint64 {
 		t += v
 	}
 	return t
-}
-
-// Kinds returns the fault kinds injected so far, sorted — the stable
-// iteration order for reports.
-func (in *Injector) Kinds() []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]string, 0, len(in.counts))
-	for k := range in.counts {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

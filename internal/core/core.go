@@ -150,7 +150,7 @@ func (st Stepper) MarshalText() ([]byte, error) { return []byte(st.String()), ni
 // case-insensitively.
 func (st *Stepper) UnmarshalText(text []byte) error { return steppers.Unmarshal(st, text) }
 
-// System is one assembled machine executing a fixed set of traces.
+// System is one assembled machine executing one micro-op stream per core.
 type System struct {
 	cfg    config.Config
 	scheme Scheme
@@ -185,16 +185,34 @@ type System struct {
 	sample    trace.Sample
 }
 
-// NewSystem builds a machine for the scheme. traces supplies one micro-op
-// stream per core (missing entries run an idle core); initImage, when
-// non-nil, pre-populates NVM with the workload's functional state after
-// its initialization operations.
+// NewSystem builds a machine for the scheme. traces supplies one
+// materialized micro-op stream per core (missing entries run an idle
+// core); initImage, when non-nil, pre-populates NVM with the workload's
+// functional state after its initialization operations.
 func NewSystem(cfg config.Config, scheme Scheme, traces []*isa.Trace, initImage *nvm.Store) (*System, error) {
+	return newSystem(cfg, scheme, len(traces), func(i int) cpu.Source {
+		if traces[i] == nil {
+			return nil
+		}
+		return traces[i]
+	}, initImage)
+}
+
+// NewStreamedSystem is NewSystem with each core fetching from an op
+// source that generates its ops as the core dispatches them, so the run
+// never holds a whole trace. A source feeds one run: a System that must be
+// rebuilt from cycle 0 needs materialized traces.
+func NewStreamedSystem(cfg config.Config, scheme Scheme, srcs []cpu.Source, initImage *nvm.Store) (*System, error) {
+	return newSystem(cfg, scheme, len(srcs), func(i int) cpu.Source { return srcs[i] }, initImage)
+}
+
+// newSystem builds the machine with core i fetching from src(i) for i < n.
+func newSystem(cfg config.Config, scheme Scheme, n int, src func(int) cpu.Source, initImage *nvm.Store) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(traces) > cfg.Cores {
-		return nil, fmt.Errorf("core: %d traces for %d cores", len(traces), cfg.Cores)
+	if n > cfg.Cores {
+		return nil, fmt.Errorf("core: %d micro-op streams for %d cores", n, cfg.Cores)
 	}
 	store := nvm.NewStore()
 	if initImage != nil {
@@ -214,9 +232,9 @@ func NewSystem(cfg config.Config, scheme Scheme, traces []*isa.Trace, initImage 
 	s.mc = memctrl.New(cfg.Mem, s.dev, store, &s.memStat)
 	s.l3 = cache.NewLevel(cfg.L3)
 	for i := 0; i < cfg.Cores; i++ {
-		var ops []isa.Op
-		if i < len(traces) && traces[i] != nil {
-			ops = traces[i].Ops
+		var ops cpu.Source
+		if i < n {
+			ops = src(i)
 		}
 		hier := cache.NewHierarchy(cfg, s.l3, s.mc, &s.coreStats[i])
 		s.hiers = append(s.hiers, hier)
@@ -261,7 +279,7 @@ func (s *System) SetStepper(st Stepper) {
 // Cycle returns the current simulation cycle.
 func (s *System) Cycle() uint64 { return s.cycle }
 
-// Finished reports whether every core has drained its trace.
+// Finished reports whether every core has drained its ops.
 func (s *System) Finished() bool { return s.finished }
 
 // SetTracer attaches an epoch-sampled tracer; call it before the run

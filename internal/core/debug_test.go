@@ -34,15 +34,13 @@ func TestDebugBreakdown(t *testing.T) {
 			c.StallCycles[stats.StallROB], c.StallCycles[stats.StallLoadQ], c.StallCycles[stats.StallStoreQ], c.StallCycles[stats.StallLogQ],
 			c.Sfences, c.Clwbs, rep.MemStat.WPQFullStall, rep.MemStat.WPQCoalesced, rep.MemStat.LPQDropped,
 			rep.MemStat.Writes[stats.WriteData], rep.MemStat.Writes[stats.WriteLog], rep.MemStat.Writes[stats.WriteTruncate])
-		issueDelay := float64(0)
-		if rep.MemStat.WPQDrained > 0 {
-			issueDelay = float64(rep.MemStat.WPQIssueDelay) / float64(rep.MemStat.WPQDrained)
+		var residency, issueDelay, service float64
+		if n := float64(rep.MemStat.WPQDrained); n > 0 {
+			residency = float64(rep.MemStat.WPQResidency) / n
+			issueDelay = float64(rep.MemStat.WPQIssueDelay) / n
+			service = float64(rep.MemStat.WPQService) / n
 		}
-		service := float64(0)
-		if rep.MemStat.WPQDrained > 0 {
-			service = float64(rep.MemStat.WPQService) / float64(rep.MemStat.WPQDrained)
-		}
-		t.Logf("    wpqResidency=%.0f issueDelay=%.0f service=%.0f bankBusy=%d rowHit=%d rowMiss=%d reads=%d", rep.MemStat.MeanWPQResidency(), issueDelay, service, rep.MemStat.BankBusy, rep.MemStat.RowBufferHits, rep.MemStat.RowBufferMiss, rep.MemStat.Reads)
+		t.Logf("    wpqResidency=%.0f issueDelay=%.0f service=%.0f bankBusy=%d rowHit=%d rowMiss=%d reads=%d", residency, issueDelay, service, rep.MemStat.BankBusy, rep.MemStat.RowBufferHits, rep.MemStat.RowBufferMiss, rep.MemStat.Reads)
 		_ = tstats
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -34,6 +35,32 @@ func runWith(t testing.TB, cfg config.Config, scheme core.Scheme, traces []*isa.
 	if err != nil {
 		t.Fatal(err)
 	}
+	return observeRun(t, sys, cfg, st, epoch, maxCycles)
+}
+
+// runStreamed is runWith with every core fed by a stream of the generator
+// GenerateOpts drains, as engine jobs run. It also returns the streams,
+// exhausted once the run finished.
+func runStreamed(t testing.TB, cfg config.Config, scheme core.Scheme, opts logging.Options, w *workload.Workload, st core.Stepper, epoch, maxCycles uint64) (*pairResult, []*logging.Stream, error) {
+	t.Helper()
+	streams, err := logging.NewStreams(w, scheme, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := make([]cpu.Source, len(streams))
+	for i, s := range streams {
+		srcs[i] = s
+	}
+	sys, err := core.NewStreamedSystem(cfg, scheme, srcs, w.InitImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := observeRun(t, sys, cfg, st, epoch, maxCycles)
+	return res, streams, err
+}
+
+func observeRun(t testing.TB, sys *core.System, cfg config.Config, st core.Stepper, epoch, maxCycles uint64) (*pairResult, error) {
+	t.Helper()
 	sys.SetStepper(st)
 	var buf bytes.Buffer
 	if epoch > 0 {
@@ -202,15 +229,77 @@ func FuzzFastForwardEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("fast stepper stalled where reference finished: %v", err)
 		}
-		if !reflect.DeepEqual(ref.rep, fast.rep) {
-			t.Fatalf("report diverges for %v/%v wpq=%d lpq=%d drainHi=%d",
-				kind, scheme, cfg.Mem.WPQ, cfg.Mem.LPQ, cfg.Mem.DrainHi)
+		streamed, _, err := runStreamed(t, cfg, scheme, logging.Options{}, w, core.StepperFast, 1000, 20_000_000)
+		if err != nil {
+			t.Fatalf("streamed fast run stalled where reference finished: %v", err)
 		}
-		if !bytes.Equal(ref.trace, fast.trace) {
-			t.Fatalf("trace diverges for %v/%v", kind, scheme)
-		}
-		if !bytes.Equal(ref.image, fast.image) {
-			t.Fatalf("crash image diverges for %v/%v", kind, scheme)
+		for _, side := range []struct {
+			name string
+			got  *pairResult
+		}{{"fast", fast}, {"streamed fast", streamed}} {
+			if !reflect.DeepEqual(ref.rep, side.got.rep) {
+				t.Fatalf("%s report diverges for %v/%v wpq=%d lpq=%d drainHi=%d",
+					side.name, kind, scheme, cfg.Mem.WPQ, cfg.Mem.LPQ, cfg.Mem.DrainHi)
+			}
+			if !bytes.Equal(ref.trace, side.got.trace) {
+				t.Fatalf("%s trace diverges for %v/%v", side.name, kind, scheme)
+			}
+			if !bytes.Equal(ref.image, side.got.image) {
+				t.Fatalf("%s crash image diverges for %v/%v", side.name, kind, scheme)
+			}
 		}
 	})
+}
+
+// TestStreamedMatchesMaterialized runs every scheme x Table-2 benchmark x
+// {default options, strict persistency, static log elimination} under
+// both steppers twice: with the cores fed by streams, and by the traces
+// GenerateOpts drains from the same generator. The runs must agree
+// byte for byte (report, commit streams, JSONL trace, final crash image),
+// and the streams' log-flush count (what engine jobs report as
+// EmittedLogFlushes) must equal the traces' Summarize().LogFlushes.
+func TestStreamedMatchesMaterialized(t *testing.T) {
+	optsSet := []logging.Options{{}, {Model: logging.ModelStrict}, {StaticLogElim: true}}
+	for _, kind := range workload.Table2 {
+		p := kind.DefaultParams(1000)
+		p.Threads = 2
+		w, err := workload.Build(kind, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := config.Default()
+		cfg.Cores = p.Threads
+		for _, scheme := range core.Schemes {
+			for _, opts := range optsSet {
+				for _, st := range []core.Stepper{core.StepperFast, core.StepperReference} {
+					kind, scheme, opts, st := kind, scheme, opts, st
+					name := fmt.Sprintf("%v/%v/%v/elim=%v/%v", kind, scheme, opts.Model, opts.StaticLogElim, st)
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						traces, err := logging.GenerateOpts(w, scheme, cfg, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := runWith(t, cfg, scheme, traces, w, st, 2000, 500_000_000)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, streams, err := runStreamed(t, cfg, scheme, opts, w, st, 2000, 500_000_000)
+						if err != nil {
+							t.Fatal(err)
+						}
+						comparePair(t, want, got)
+						var wantFlushes, gotFlushes uint64
+						for i := range traces {
+							wantFlushes += uint64(traces[i].Summarize().LogFlushes)
+							gotFlushes += streams[i].LogFlushes()
+						}
+						if gotFlushes != wantFlushes {
+							t.Errorf("streams emitted %d log-flushes, traces hold %d", gotFlushes, wantFlushes)
+						}
+					})
+				}
+			}
+		}
+	}
 }

@@ -140,7 +140,12 @@ type Core struct {
 	mc   *memctrl.Controller
 	st   *stats.Core
 
-	trace   []isa.Op
+	// Fetch: the op at pc of the current window is the next to dispatch.
+	// base counts the ops of the windows before it, so base+pc is the
+	// op's index in the whole stream.
+	src     Source
+	window  []isa.Op
+	base    int
 	pc      int
 	aluLeft uint64
 
@@ -207,20 +212,32 @@ type Core struct {
 	doneCycle      uint64
 }
 
-// New builds a core executing trace in the given mode. lwr enables
-// Proteus's log write removal (the LPQ path); it is ignored in other
-// modes.
-func New(id int, cfg config.Config, mode Mode, lwr bool, hier *cache.Hierarchy, mc *memctrl.Controller, trace []isa.Op, st *stats.Core) *Core {
+// Source supplies one core's micro-ops in program order, a window at a
+// time. A materialized isa.Trace is a source with one window; a streamed
+// source generates each window as the core reaches it.
+type Source interface {
+	// Window returns the ops that follow the stream's first from ops, or
+	// an empty window once the stream is exhausted. The core asks for
+	// consecutive windows (from is the total length of those already
+	// returned), and a window stays valid until the next call.
+	Window(from int) []isa.Op
+	// Txns returns the number of transactions (tx-end ops) in the whole
+	// stream, which pre-sizes the commit log.
+	Txns() int
+}
+
+// New builds a core executing the ops of src (nil: an idle core) in the
+// given mode. lwr enables Proteus's log write removal (the LPQ path); it
+// is ignored in other modes.
+func New(id int, cfg config.Config, mode Mode, lwr bool, hier *cache.Hierarchy, mc *memctrl.Controller, src Source, st *stats.Core) *Core {
 	logStart, logEnd := isa.LogWindow(id)
 	nTx := 0
-	for i := range trace {
-		if trace[i].Kind == isa.TxEnd {
-			nTx++
-		}
+	if src != nil {
+		nTx = src.Txns()
 	}
-	return &Core{
+	c := &Core{
 		id: id, cfg: cfg, mode: mode, lwr: lwr,
-		hier: hier, mc: mc, st: st, trace: trace,
+		hier: hier, mc: mc, st: st, src: src,
 		rob:         make([]robEntry, cfg.Core.ROB),
 		sbq:         make([]sbEntry, cfg.Core.StoreBuf),
 		persistAcks: make([]uint64, 0, 64),
@@ -236,6 +253,32 @@ func New(id int, cfg config.Config, mode Mode, lwr bool, hier *cache.Hierarchy, 
 		curlog:      logStart,
 		atomQ:       make([]*atomReq, 0, 32),
 		atomCursor:  logStart,
+	}
+	c.refill()
+	return c
+}
+
+// refill replaces a spent window with the source's next one; an empty
+// one ends the stream. It runs at construction and after every dispatch
+// advance, so the window holds the op at pc unless the stream is
+// exhausted: Tick and NextEvent read the window without refilling.
+func (c *Core) refill() {
+	if c.pc < len(c.window) || c.src == nil {
+		return
+	}
+	c.base += c.pc
+	c.pc = 0
+	c.window = c.src.Window(c.base)
+	if len(c.window) == 0 {
+		c.src = nil
+	}
+}
+
+// advance moves fetch past the op just dispatched.
+func (c *Core) advance() {
+	c.pc++
+	if c.pc == len(c.window) {
+		c.refill()
 	}
 }
 
@@ -382,7 +425,7 @@ func (c *Core) Tick(now uint64) {
 	c.drainStoreBuffer(now)
 	c.dispatch(now)
 
-	if c.pc >= len(c.trace) && c.robCount == 0 && c.sbCount == 0 &&
+	if c.pc >= len(c.window) && c.robCount == 0 && c.sbCount == 0 &&
 		c.logQEmpty() && len(c.atomQ) == 0 {
 		c.finished = true
 		c.doneCycle = now
@@ -482,10 +525,10 @@ func (c *Core) stall(cause stats.StallCause) {
 func (c *Core) dispatch(now uint64) {
 	slots := c.cfg.Core.Width
 	for slots > 0 {
-		if c.pc >= len(c.trace) {
+		if c.pc >= len(c.window) {
 			return
 		}
-		op := c.trace[c.pc]
+		op := c.window[c.pc]
 
 		if c.robCount >= len(c.rob) {
 			c.stall(stats.StallROB)
@@ -510,7 +553,7 @@ func (c *Core) dispatch(now uint64) {
 				return // ran out of slots mid-op
 			}
 			c.robPush(robEntry{op: op, issued: true, doneAt: now + 1, lr: -1, lqe: -1})
-			c.pc++
+			c.advance()
 			continue
 
 		case isa.Ld, isa.LockAcq:
@@ -600,7 +643,7 @@ func (c *Core) dispatch(now uint64) {
 			// Sfence, Pcommit, LogSave, Nop.
 			c.robPush(robEntry{op: op, issued: true, doneAt: now + 1, lr: -1, lqe: -1})
 		}
-		c.pc++
+		c.advance()
 		slots--
 	}
 }

@@ -18,7 +18,7 @@ func (c *Core) BusyHint() bool {
 // the signature is only a gate), so the hash need not be strong.
 func (c *Core) ProgressSig() uint64 {
 	const m = 0x9E3779B97F4A7C15
-	h := uint64(c.pc)
+	h := uint64(c.base + c.pc)
 	h = h*m + uint64(c.robCount)
 	h = h*m + uint64(c.sbCount)
 	h = h*m + c.aluLeft
@@ -142,8 +142,8 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	// Dispatch: the front end acts unless the resource its next op needs
 	// is exhausted, in which case the event freeing it is already covered
 	// by the retirement / store-buffer / LogQ wakes above.
-	if c.pc < len(c.trace) && c.robCount < len(c.rob) {
-		switch op := c.trace[c.pc]; op.Kind {
+	if c.pc < len(c.window) && c.robCount < len(c.rob) {
+		switch op := c.window[c.pc]; op.Kind {
 		case isa.Ld, isa.LockAcq:
 			if c.loads < c.cfg.Core.LoadQ {
 				return 0

@@ -83,7 +83,7 @@ func (c *Core) issueProteusLogLoad(now uint64, e *robEntry) {
 // being first in the log (§4.2).
 func (c *Core) dispatchLogFlush(now uint64, op isa.Op) bool {
 	if len(c.lrFIFO) == 0 {
-		panic(fmt.Sprintf("cpu: core %d log-flush without preceding log-load at pc %d", c.id, c.pc))
+		panic(fmt.Sprintf("cpu: core %d log-flush without preceding log-load at op %d", c.id, c.base+c.pc))
 	}
 	lri := c.lrFIFO[0]
 	if c.lr[lri].filtered {

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/logging"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -39,7 +40,7 @@ import (
 var ErrJobTimeout = errors.New("job timeout exceeded")
 
 // Job names one simulation: build (or reuse) the workload for
-// (Kind, Params), generate the Scheme's traces under Config with the
+// (Kind, Params), generate the Scheme's micro-ops under Config with the
 // logging options, and run the machine to completion. Its JSON encoding
 // is the cluster's sim payload: benchmark and scheme by name, the rest as
 // their full structs, so a decoded job has the same Fingerprint.
@@ -88,9 +89,9 @@ type wlKey struct {
 // cluster's sim result and the result a store entry carries.
 type Result struct {
 	Report *stats.Report `json:"report"`
-	// EmittedLogFlushes counts the log-flush micro-ops present in the
-	// generated traces, before any run-time LLT filtering (the quantity
-	// the static-vs-dynamic filtering ablation compares).
+	// EmittedLogFlushes counts the log-flush micro-ops generated for the
+	// run, before any run-time LLT filtering (the quantity the
+	// static-vs-dynamic filtering ablation compares).
 	EmittedLogFlushes uint64 `json:"emitted_log_flushes"`
 }
 
@@ -457,18 +458,19 @@ func (e *Engine) acquire(ctx context.Context, k wlKey) (ent *wlEntry, claimed bo
 	}
 }
 
-// simulate1 generates and runs the machine under an already-bounded
-// context.
+// simulate1 runs the machine under an already-bounded context. A job runs
+// once, so its cores stream their ops: each transaction is generated when
+// its core reaches it, and no whole trace is ever held.
 func (e *Engine) simulate1(ctx context.Context, j Job, w *workload.Workload) (*Result, error) {
-	traces, err := logging.GenerateOpts(w, j.Scheme, j.Config, j.Log)
+	streams, err := logging.NewStreams(w, j.Scheme, j.Config, j.Log)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %v: %w", j, err)
 	}
-	var emitted uint64
-	for _, tr := range traces {
-		emitted += uint64(tr.Summarize().LogFlushes)
+	srcs := make([]cpu.Source, len(streams))
+	for i, s := range streams {
+		srcs[i] = s
 	}
-	sys, err := core.NewSystem(j.Config, j.Scheme, traces, w.InitImage)
+	sys, err := core.NewStreamedSystem(j.Config, j.Scheme, srcs, w.InitImage)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %v: %w", j, err)
 	}
@@ -492,6 +494,11 @@ func (e *Engine) simulate1(ctx context.Context, j Job, w *workload.Workload) (*R
 	}
 	if runErr != nil {
 		return nil, fmt.Errorf("engine: %v: %w", j, runErr)
+	}
+	// The finished run consumed every stream, so the counts are complete.
+	var emitted uint64
+	for _, s := range streams {
+		emitted += s.LogFlushes()
 	}
 	e.simulated.Add(1)
 	return &Result{Report: rep, EmittedLogFlushes: emitted}, nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -142,6 +143,21 @@ func TestRunAllDrainsPastJobFailure(t *testing.T) {
 	}
 	if c := e.Counters(); c.Failed != 1 || c.Simulated != 1 {
 		t.Fatalf("counters %+v, want 1 failed / 1 simulated", c)
+	}
+}
+
+// TestUnknownSchemeFailsBeforeRun: a scheme the generator has no
+// expansion for fails the job with the generator's error before any
+// System is built. Streaming must not defer the check to the first
+// refill, where the core would simply run the ops it did get.
+func TestUnknownSchemeFailsBeforeRun(t *testing.T) {
+	e := New(Config{Workers: 1})
+	_, err := e.Run(context.Background(), testJob(core.Scheme(99)))
+	if err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+		t.Fatalf("err = %v, want an unknown-scheme failure", err)
+	}
+	if c := e.Counters(); c.Failed != 1 || c.Simulated != 0 {
+		t.Fatalf("counters %+v, want 1 failed / 0 simulated", c)
 	}
 }
 

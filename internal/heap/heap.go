@@ -60,23 +60,6 @@ type Txn struct {
 	Post map[uint64]uint64
 }
 
-// WriteLines returns the distinct cache lines the transaction wrote.
-func (t *Txn) WriteLines() []uint64 {
-	seen := make(map[uint64]struct{})
-	var lines []uint64
-	for _, a := range t.Ops {
-		if a.Kind != Store {
-			continue
-		}
-		l := isa.LineAddr(a.Addr)
-		if _, ok := seen[l]; !ok {
-			seen[l] = struct{}{}
-			lines = append(lines, l)
-		}
-	}
-	return lines
-}
-
 // Heap is one thread's persistent heap.
 type Heap struct {
 	thread      int

@@ -95,20 +95,6 @@ func TestPreCapturesFirstValueOnly(t *testing.T) {
 	}
 }
 
-func TestWriteLines(t *testing.T) {
-	h := New(0, nvm.NewStore())
-	a := h.Alloc(128)
-	h.SetRecording(true)
-	h.Begin(0)
-	h.Store(a, 1)
-	h.Store(a+8, 2)  // same line
-	h.Store(a+64, 3) // next line
-	txn := h.End()
-	if lines := txn.WriteLines(); len(lines) != 2 {
-		t.Fatalf("write lines: %#x", lines)
-	}
-}
-
 func TestAllocsRecorded(t *testing.T) {
 	h := New(0, nvm.NewStore())
 	h.SetRecording(true)

@@ -125,17 +125,30 @@ func (o Op) String() string {
 	}
 }
 
-// Trace is the per-thread micro-op stream consumed by one core.
+// Trace is the per-thread micro-op stream consumed by one core,
+// materialized whole.
 type Trace struct {
-	Thread int
-	Ops    []Op
+	Ops []Op
 }
-
-// Append adds an op to the trace.
-func (t *Trace) Append(op Op) { t.Ops = append(t.Ops, op) }
 
 // Len returns the number of ops in the trace.
 func (t *Trace) Len() int { return len(t.Ops) }
+
+// Window returns the trace's ops from index from on. A materialized trace
+// is an op source with one window: the core asks for the window at 0, and
+// the empty one at Len ends the stream.
+func (t *Trace) Window(from int) []Op { return t.Ops[from:] }
+
+// Txns returns the number of transactions (tx-end ops) in the trace.
+func (t *Trace) Txns() int {
+	n := 0
+	for i := range t.Ops {
+		if t.Ops[i].Kind == TxEnd {
+			n++
+		}
+	}
+	return n
+}
 
 // Stats summarizes a trace's composition, mainly for tests and reports.
 type TraceStats struct {

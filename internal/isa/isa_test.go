@@ -78,19 +78,29 @@ func TestKindStringsAndIsMem(t *testing.T) {
 }
 
 func TestTraceSummarize(t *testing.T) {
-	tr := &Trace{}
-	tr.Append(Op{Kind: TxBegin, Tx: 1})
-	tr.Append(Op{Kind: Alu, Val: 5})
-	tr.Append(Op{Kind: Ld, Addr: HeapBase, Size: 8})
-	tr.Append(Op{Kind: St, Addr: HeapBase, Size: 8, Val: 42})
-	tr.Append(Op{Kind: Clwb, Addr: HeapBase})
-	tr.Append(Op{Kind: Sfence})
-	tr.Append(Op{Kind: TxEnd, Tx: 1})
+	tr := &Trace{Ops: []Op{
+		{Kind: TxBegin, Tx: 1},
+		{Kind: Alu, Val: 5},
+		{Kind: Ld, Addr: HeapBase, Size: 8},
+		{Kind: St, Addr: HeapBase, Size: 8, Val: 42},
+		{Kind: Clwb, Addr: HeapBase},
+		{Kind: Sfence},
+		{Kind: TxEnd, Tx: 1},
+	}}
 	s := tr.Summarize()
 	if s.Loads != 1 || s.Stores != 1 || s.Alus != 5 || s.Clwbs != 1 || s.Sfences != 1 || s.TxBegins != 1 || s.TxEnds != 1 {
 		t.Fatalf("summary wrong: %+v", s)
 	}
 	if tr.Len() != 7 {
 		t.Fatalf("len %d", tr.Len())
+	}
+	if n := tr.Txns(); n != 1 {
+		t.Fatalf("Txns() = %d, want 1", n)
+	}
+	if w := tr.Window(0); len(w) != 7 {
+		t.Fatalf("Window(0) holds %d ops, want the whole trace", len(w))
+	}
+	if w := tr.Window(7); len(w) != 0 {
+		t.Fatalf("Window(Len) holds %d ops, want none", len(w))
 	}
 }

@@ -31,27 +31,31 @@ func Generate(w *workload.Workload, scheme core.Scheme, cfg config.Config) ([]*i
 	return GenerateOpts(w, scheme, cfg, Options{})
 }
 
-// gen carries per-thread generation state.
+// gen carries per-thread generation state. It emits one transaction at a
+// time, into the reused window of a Stream (win) or the staging chunks of
+// a drain (buf).
 type gen struct {
-	ops     opBuf
+	stream  bool
+	win     []isa.Op
+	buf     opBuf
 	alu     uint64
 	aluTxn  uint64
 	scheme  core.Scheme
 	opts    Options
-	thread  int
 	img     *nvm.Store        // functional image after initialization
 	overlay map[uint64]uint64 // word-level committed state on top of img (software logging only)
 	swLog   uint64            // software log area base
 	logFlag uint64
+	addrs   addrSet // per-transaction scratch: hint lines, write lines, logged blocks
+	flushes uint64  // log-flush ops emitted so far
 }
 
-func generateThreadOpts(h *heap.Heap, scheme core.Scheme, cfg config.Config, img *nvm.Store, opts Options) (*isa.Trace, error) {
-	g := &gen{
+func newGen(h *heap.Heap, scheme core.Scheme, cfg config.Config, img *nvm.Store, opts Options) gen {
+	g := gen{
 		alu:     uint64(cfg.Core.AluPerMem),
 		aluTxn:  uint64(cfg.Core.AluPerTxn),
 		scheme:  scheme,
 		opts:    opts,
-		thread:  h.Thread(),
 		img:     img,
 		swLog:   logfmt.SWLogBase(h.Thread()),
 		logFlag: logfmt.LogFlagAddr(h.Thread()),
@@ -61,21 +65,68 @@ func generateThreadOpts(h *heap.Heap, scheme core.Scheme, cfg config.Config, img
 	if scheme == core.PMEM || scheme == core.PMEMPcommit {
 		g.overlay = make(map[uint64]uint64)
 	}
-	for _, txn := range h.Txns {
-		if err := g.emitTxn(txn); err != nil {
-			g.ops.release()
-			return nil, err
-		}
-		// The transaction is committed; fold its writes into the
-		// committed state used for later pre-images.
-		if g.overlay != nil {
-			for a, v := range txn.Post {
-				g.overlay[a] = v
-			}
+	return g
+}
+
+// checkScheme rejects a scheme the generator has no expansion for, before
+// any op is generated.
+func checkScheme(scheme core.Scheme) error {
+	switch scheme {
+	case core.PMEM, core.PMEMPcommit, core.PMEMNoLog, core.ATOM, core.Proteus, core.ProteusNoLWR:
+		return nil
+	}
+	return fmt.Errorf("logging: unknown scheme %v", scheme)
+}
+
+// txn emits one transaction. The transaction is then committed, so its
+// writes fold into the committed state later pre-images read.
+func (g *gen) txn(t *heap.Txn) {
+	g.emitTxn(t)
+	if g.overlay != nil {
+		for a, v := range t.Post {
+			g.overlay[a] = v
 		}
 	}
-	return &isa.Trace{Ops: g.ops.finish()}, nil
 }
+
+// drain generates the heap's whole trace.
+func (g *gen) drain(h *heap.Heap) *isa.Trace {
+	for _, t := range h.Txns {
+		g.txn(t)
+	}
+	return &isa.Trace{Ops: g.buf.finish()}
+}
+
+// Stream generates one thread's micro-ops a transaction at a time into a
+// reused window: the op source (cpu.Source) of a core in a streamed run.
+// Draining the same generator whole is what GenerateOpts returns.
+type Stream struct {
+	g    gen
+	txns []*heap.Txn
+	next int // transactions generated
+}
+
+// Window generates the next transaction and returns its ops, or nil once
+// every transaction is out. A stream is read once, in order, so from
+// (the number of ops already handed out) needs no lookup. The window is
+// overwritten by the next call.
+func (s *Stream) Window(from int) []isa.Op {
+	if s.next == len(s.txns) {
+		return nil
+	}
+	s.g.win = s.g.win[:0]
+	s.g.txn(s.txns[s.next])
+	s.next++
+	return s.g.win
+}
+
+// Txns returns the number of transactions the stream generates.
+func (s *Stream) Txns() int { return len(s.txns) }
+
+// LogFlushes returns the log-flush ops generated so far, before any
+// run-time LLT filtering; once the stream is exhausted it equals the
+// drained trace's Summarize().LogFlushes.
+func (s *Stream) LogFlushes() uint64 { return s.g.flushes }
 
 // chunkOps is the capacity of one staging chunk (6 KB of ops).
 const chunkOps = 256
@@ -150,7 +201,13 @@ func preWordIn(t *heap.Txn, g *gen, addr uint64) uint64 {
 	return g.preWord(addr)
 }
 
-func (g *gen) op(o isa.Op) { g.ops.add(o) }
+func (g *gen) op(o isa.Op) {
+	if g.stream {
+		g.win = append(g.win, o)
+		return
+	}
+	g.buf.add(o)
+}
 
 func (g *gen) aluPad() {
 	if g.alu > 0 {
@@ -182,7 +239,7 @@ func (g *gen) sfence() {
 	}
 }
 
-func (g *gen) emitTxn(t *heap.Txn) error {
+func (g *gen) emitTxn(t *heap.Txn) {
 	// Fixed per-operation harness work (input parsing, call overhead),
 	// identical across schemes.
 	if g.aluTxn > 0 {
@@ -198,27 +255,60 @@ func (g *gen) emitTxn(t *heap.Txn) error {
 		g.emitHW(t)
 	case core.Proteus, core.ProteusNoLWR:
 		g.emitProteus(t)
-	default:
-		return fmt.Errorf("unknown scheme %v", g.scheme)
 	}
 	g.op(isa.Op{Kind: isa.LockRel, Size: 8, Addr: t.Lock})
-	return nil
+}
+
+// addrSet collects distinct addresses in first-seen order. The generator
+// reuses one across transactions, so generating inside a streamed run's
+// Step allocates nothing once warm.
+type addrSet struct {
+	seen  map[uint64]struct{}
+	addrs []uint64
+}
+
+func (s *addrSet) reset() {
+	if s.seen == nil {
+		s.seen = make(map[uint64]struct{})
+	}
+	clear(s.seen)
+	s.addrs = s.addrs[:0]
+}
+
+// add reports whether addr is new to the set.
+func (s *addrSet) add(addr uint64) bool {
+	if _, ok := s.seen[addr]; ok {
+		return false
+	}
+	s.seen[addr] = struct{}{}
+	s.addrs = append(s.addrs, addr)
+	return true
 }
 
 // hintLines returns the deduplicated 64-byte lines of the transaction's
-// conservative undo set, in first-declaration order.
-func hintLines(t *heap.Txn) []uint64 {
-	seen := make(map[uint64]struct{})
-	var lines []uint64
+// conservative undo set, in first-declaration order. The slice is the
+// generator's scratch, valid until its next use.
+func (g *gen) hintLines(t *heap.Txn) []uint64 {
+	g.addrs.reset()
 	for _, r := range t.Hints {
 		for a := isa.LineAddr(r.Addr); a < r.Addr+uint64(r.Size); a += isa.LineSize {
-			if _, ok := seen[a]; !ok {
-				seen[a] = struct{}{}
-				lines = append(lines, a)
-			}
+			g.addrs.add(a)
 		}
 	}
-	return lines
+	return g.addrs.addrs
+}
+
+// writeLines returns the distinct cache lines the transaction wrote, in
+// first-write order. The slice is the generator's scratch, valid until
+// its next use.
+func (g *gen) writeLines(t *heap.Txn) []uint64 {
+	g.addrs.reset()
+	for _, a := range t.Ops {
+		if a.Kind == heap.Store {
+			g.addrs.add(isa.LineAddr(a.Addr))
+		}
+	}
+	return g.addrs.addrs
 }
 
 // emitSWLogging generates Figure 2's fail-safe undo logging.
@@ -229,7 +319,7 @@ func (g *gen) emitSWLogging(t *heap.Txn) {
 	// Step 1: create and persist the undo log. One two-line entry per
 	// conservatively-hinted 64-byte line: read the original data, store
 	// the metadata and data words, flush both lines.
-	lines := hintLines(t)
+	lines := g.hintLines(t)
 	for i, line := range lines {
 		// The pre-image words double as the entry's data checksum input,
 		// so compute them before emitting any ops (the op sequence —
@@ -274,7 +364,7 @@ func (g *gen) emitSWLogging(t *heap.Txn) {
 	// strict persistency each store already persisted individually).
 	g.emitBody(t)
 	if g.opts.Model != ModelStrict {
-		for _, line := range t.WriteLines() {
+		for _, line := range g.writeLines(t) {
 			g.clwb(line)
 		}
 	}
@@ -293,7 +383,7 @@ func (g *gen) emitSWLogging(t *heap.Txn) {
 func (g *gen) emitNoLog(t *heap.Txn) {
 	g.op(isa.Op{Kind: isa.TxBegin, Tx: t.ID})
 	g.emitBody(t)
-	for _, line := range t.WriteLines() {
+	for _, line := range g.writeLines(t) {
 		g.clwb(line)
 	}
 	g.sfence()
@@ -315,9 +405,8 @@ func (g *gen) emitHW(t *heap.Txn) {
 func (g *gen) emitProteus(t *heap.Txn) {
 	tx := t.ID
 	g.op(isa.Op{Kind: isa.TxBegin, Tx: tx})
-	var logged map[uint64]struct{}
 	if g.opts.StaticLogElim {
-		logged = make(map[uint64]struct{})
+		g.addrs.reset() // the blocks logged so far in this transaction
 	}
 	for _, a := range t.Ops {
 		switch a.Kind {
@@ -325,17 +414,10 @@ func (g *gen) emitProteus(t *heap.Txn) {
 			g.load(tx, a.Addr)
 		case heap.Store:
 			block := isa.LogBlockAddr(a.Addr)
-			emit := true
-			if logged != nil {
-				if _, seen := logged[block]; seen {
-					emit = false
-				} else {
-					logged[block] = struct{}{}
-				}
-			}
-			if emit {
+			if !g.opts.StaticLogElim || g.addrs.add(block) {
 				g.op(isa.Op{Kind: isa.LogLoad, Size: isa.LogBlockSize, Tx: tx, Addr: block})
 				g.op(isa.Op{Kind: isa.LogFlush, Size: isa.LogBlockSize, Tx: tx, Addr: block})
+				g.flushes++
 			}
 			g.store(tx, a.Addr, a.Val)
 		}

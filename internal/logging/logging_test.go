@@ -1,11 +1,14 @@
 package logging
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/heap"
 	"repro/internal/isa"
+	"repro/internal/nvm"
 	"repro/internal/recovery"
 	"repro/internal/workload"
 )
@@ -255,6 +258,70 @@ func TestStaticElimRecoveryStillSound(t *testing.T) {
 		}
 		if _, err := oracle.VerifyPrefix(img, counts); err != nil {
 			t.Fatalf("cycle %d: %v", sys.Cycle(), err)
+		}
+	}
+}
+
+// TestWriteLines checks the generator's write-line set: distinct lines in
+// first-write order, with nothing left over from the previous use of the
+// reused scratch.
+func TestWriteLines(t *testing.T) {
+	h := heap.New(0, nvm.NewStore())
+	a := h.Alloc(128)
+	b := h.Alloc(64)
+	h.SetRecording(true)
+	h.Begin(0)
+	h.Store(a+64, 3) // second line first
+	h.Store(a, 1)
+	h.Store(a+8, 2) // same line
+	txn := h.End()
+	h.Begin(0)
+	h.Store(b, 4)
+	other := h.End()
+	var g gen
+	if lines := g.writeLines(other); !reflect.DeepEqual(lines, []uint64{b}) {
+		t.Fatalf("write lines %#x, want [%#x]", lines, b)
+	}
+	if lines := g.writeLines(txn); !reflect.DeepEqual(lines, []uint64{a + 64, a}) {
+		t.Fatalf("write lines %#x, want [%#x %#x]", lines, a+64, a)
+	}
+}
+
+// TestStreamMatchesDrain reads every scheme's streams window by window
+// and checks that the windows concatenate to GenerateOpts's traces, one
+// transaction per window, with the stream's transaction and log-flush
+// counts equal to the trace's.
+func TestStreamMatchesDrain(t *testing.T) {
+	w := buildSmall(t)
+	cfg := config.Default()
+	for _, s := range core.Schemes {
+		for _, opts := range []Options{{}, {Model: ModelStrict}, {StaticLogElim: true}} {
+			traces, err := GenerateOpts(w, s, cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams, err := NewStreams(w, s, cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range streams {
+				var got []isa.Op
+				windows := 0
+				for win := st.Window(0); len(win) > 0; win = st.Window(len(got)) {
+					got = append(got, win...)
+					windows++
+				}
+				tr := traces[i]
+				if !reflect.DeepEqual(got, tr.Ops) {
+					t.Fatalf("%v %+v thread %d: streamed ops differ from the drained trace (%d vs %d ops)", s, opts, i, len(got), tr.Len())
+				}
+				if windows != tr.Txns() || st.Txns() != tr.Txns() {
+					t.Errorf("%v thread %d: %d windows, Txns() %d, trace holds %d transactions", s, i, windows, st.Txns(), tr.Txns())
+				}
+				if st.LogFlushes() != uint64(tr.Summarize().LogFlushes) {
+					t.Errorf("%v thread %d: stream counted %d log-flushes, trace holds %d", s, i, st.LogFlushes(), tr.Summarize().LogFlushes)
+				}
+			}
 		}
 	}
 }

@@ -57,16 +57,34 @@ type Options struct {
 	StaticLogElim bool
 }
 
-// GenerateOpts is Generate with explicit options.
+// GenerateOpts is Generate with explicit options. It drains each
+// thread's generator into a materialized trace, for callers that replay
+// or inspect whole traces; a one-shot run streams instead (NewStreams).
 func GenerateOpts(w *workload.Workload, scheme core.Scheme, cfg config.Config, opts Options) ([]*isa.Trace, error) {
+	if err := checkScheme(scheme); err != nil {
+		return nil, err
+	}
 	traces := make([]*isa.Trace, len(w.Heaps))
 	for t, h := range w.Heaps {
-		tr, err := generateThreadOpts(h, scheme, cfg, w.InitImage, opts)
-		if err != nil {
-			return nil, fmt.Errorf("logging: thread %d: %w", t, err)
-		}
-		tr.Thread = t
-		traces[t] = tr
+		g := newGen(h, scheme, cfg, w.InitImage, opts)
+		traces[t] = g.drain(h)
 	}
 	return traces, nil
+}
+
+// NewStreams returns one Stream per thread of the workload: the op
+// sources of a streamed run (core.NewStreamedSystem), which generates
+// each transaction as its core reaches it. Each stream's ops equal
+// GenerateOpts's trace for that thread.
+func NewStreams(w *workload.Workload, scheme core.Scheme, cfg config.Config, opts Options) ([]*Stream, error) {
+	if err := checkScheme(scheme); err != nil {
+		return nil, err
+	}
+	streams := make([]*Stream, len(w.Heaps))
+	for t, h := range w.Heaps {
+		s := &Stream{g: newGen(h, scheme, cfg, w.InitImage, opts), txns: h.Txns}
+		s.g.stream = true
+		streams[t] = s
+	}
+	return streams, nil
 }

@@ -38,9 +38,6 @@ func NewLinkedList(h *heap.Heap, nodes, elems int) *LinkedList {
 	return l
 }
 
-// Elems returns the per-node element count.
-func (l *LinkedList) Elems() int { return l.elems }
-
 // UpdateNext updates every element of the next node in round-robin order
 // with val; the whole node update is one transaction's work.
 func (l *LinkedList) UpdateNext(val uint64) {

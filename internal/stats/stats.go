@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -141,14 +140,6 @@ type Mem struct {
 	WPQForwards uint64
 	// BankBusy accumulates bank occupancy cycles across all banks.
 	BankBusy uint64
-}
-
-// MeanWPQResidency returns the average cycles a write spent in the WPQ.
-func (m *Mem) MeanWPQResidency() float64 {
-	if m.WPQDrained == 0 {
-		return 0
-	}
-	return float64(m.WPQResidency) / float64(m.WPQDrained)
 }
 
 // NVMWrites is the total number of writes that reached NVMM.
@@ -353,15 +344,4 @@ func (t *Table) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SortedKeys returns the keys of m sorted lexicographically; a helper for
-// deterministic report printing.
-func SortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }
