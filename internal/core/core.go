@@ -206,8 +206,9 @@ func NewStreamedSystem(cfg config.Config, scheme Scheme, srcs []cpu.Source, init
 	return newSystem(cfg, scheme, len(srcs), func(i int) cpu.Source { return srcs[i] }, initImage)
 }
 
-// newSystem builds the machine with core i fetching from src(i) for i < n.
-func newSystem(cfg config.Config, scheme Scheme, n int, src func(int) cpu.Source, initImage *nvm.Store) (*System, error) {
+// newSystem builds the machine with core i fetching from source(i) for
+// i < n.
+func newSystem(cfg config.Config, scheme Scheme, n int, source func(int) cpu.Source, initImage *nvm.Store) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -232,13 +233,13 @@ func newSystem(cfg config.Config, scheme Scheme, n int, src func(int) cpu.Source
 	s.mc = memctrl.New(cfg.Mem, s.dev, store, &s.memStat)
 	s.l3 = cache.NewLevel(cfg.L3)
 	for i := 0; i < cfg.Cores; i++ {
-		var ops cpu.Source
+		var src cpu.Source
 		if i < n {
-			ops = src(i)
+			src = source(i)
 		}
 		hier := cache.NewHierarchy(cfg, s.l3, s.mc, &s.coreStats[i])
 		s.hiers = append(s.hiers, hier)
-		s.cores = append(s.cores, cpu.New(i, cfg, scheme.Mode(), scheme.LWR(), hier, s.mc, ops, &s.coreStats[i]))
+		s.cores = append(s.cores, cpu.New(i, cfg, scheme.Mode(), scheme.LWR(), hier, s.mc, src, &s.coreStats[i]))
 	}
 	return s, nil
 }
