@@ -44,10 +44,7 @@ func main() {
 	enum.ListVar(&benches, "bench", "all", "comma-separated benchmark abbrevs (QE, HM, SS, AT, BT, RT) or all", workload.ParseKinds)
 	enum.ListVar(&schemes, "scheme", "all", "comma-separated schemes or all (the failure-safe set); PMEM+nolog may be named explicitly", core.ParseSchemes)
 	enum.ListVar(&faults, "faults", "clean", "fault models to inject: clean, torn, adrloss, corrupt, all (clean is always included)", crashcampaign.ParseFaults)
-	flag.Func("minimize", "which outcomes to minimize: failed, all, off (default failed)", func(s string) (err error) {
-		mode, err = crashcampaign.MinimizeModeByName(s)
-		return err
-	})
+	flag.TextVar(&mode, "minimize", crashcampaign.MinimizeFailed, "which outcomes to minimize: failed, all, off")
 	flag.TextVar(&stepper, "stepper", core.StepperFast, "cycle-advance strategy: fast (event-driven fast-forward) or reference (per-cycle)")
 	var (
 		sweep      = flag.Int("sweep", 64, "systematically spaced crash points per tuple")
@@ -86,7 +83,6 @@ func main() {
 		Params: workload.Params{Threads: *threads, InitOps: *initOps, SimOps: *simOps, Seed: *wseed,
 			SSItems: 256, SSStrSize: 256, ListNodes: 4, ListElems: 64},
 		Sim:         config.Default(),
-		Stepper:     stepper,
 		Sweep:       *sweep,
 		Rand:        *randPts,
 		Faults:      faults,

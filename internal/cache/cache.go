@@ -334,37 +334,36 @@ func (h *Hierarchy) Store(now uint64, addr uint64, data []byte) (done uint64, ok
 }
 
 // Clwb writes the line containing addr back to the memory controller if it
-// is dirty anywhere in this core's path, leaving it valid and clean. It
-// returns the cycle at which the write is accepted at the WPQ (the
-// completion point under ADR) and whether a write actually happened. ok is
-// false when the WPQ is full and the clwb must be retried.
+// is dirty anywhere in this core's path, leaving every copy valid and
+// clean. The first dirty copy on the L1→L3 path holds the newest data: a
+// clean copy above it was filled from it. It returns the cycle at which
+// the write is accepted at the WPQ (the completion point under ADR) and
+// whether a write actually happened. ok is false when the WPQ is full and
+// the clwb must be retried.
 func (h *Hierarchy) Clwb(now uint64, addr uint64) (done uint64, wrote bool, ok bool) {
 	line := isa.LineAddr(addr)
 	var w *way
 	lat := uint64(0)
-	if w = h.l1.lookup(line); w != nil {
-		lat = uint64(h.l1.Latency())
-	} else if w = h.l2.lookup(line); w != nil {
-		lat = uint64(h.l2.Latency())
-	} else if w = h.l3.lookup(line); w != nil {
-		lat = uint64(h.l3.Latency())
+	for _, l := range [...]*Level{h.l1, h.l2, h.l3} {
+		if lw := l.lookup(line); lw != nil && lw.dirty {
+			w, lat = lw, uint64(l.Latency())
+			break
+		}
 	}
-	if w == nil || !w.dirty {
+	if w == nil {
 		return now + uint64(h.l1.Latency()), false, true
 	}
 	arrive := now + lat + uint64(h.l3.Latency()) + uint64(h.l3ToMC)
 	if !h.mc.WriteLine(arrive, line, w.data, stats.WriteData) {
 		return 0, false, false
 	}
-	w.dirty = false
-	// Keep lower-level copies coherent with the flushed data.
-	if lw := h.l2.lookup(line); lw != nil && lw != w {
-		lw.data = w.data
-		lw.dirty = false
-	}
-	if lw := h.l3.lookup(line); lw != nil && lw != w {
-		lw.data = w.data
-		lw.dirty = false
+	// Every copy now matches the flushed data.
+	data := w.data
+	for _, l := range [...]*Level{h.l1, h.l2, h.l3} {
+		if lw := l.lookup(line); lw != nil {
+			lw.data = data
+			lw.dirty = false
+		}
 	}
 	return arrive + uint64(h.l3ToMC), true, true
 }
@@ -391,13 +390,8 @@ func (h *Hierarchy) Peek(addr uint64, size int, buf []byte) {
 		if src != nil {
 			copy(buf[i:i+n], src[off:off+n])
 		} else {
-			var tmp [isa.LineSize]byte
-			done, data, ok := h.mc.PeekLine(line)
-			_ = done
-			if ok {
-				tmp = data
-			}
-			copy(buf[i:i+n], tmp[off:off+n])
+			data := h.mc.PeekLine(line)
+			copy(buf[i:i+n], data[off:off+n])
 		}
 		i += n
 	}

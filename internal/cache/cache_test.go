@@ -93,6 +93,52 @@ func TestCleanClwbIsNoWrite(t *testing.T) {
 	}
 }
 
+// TestClwbFlushesDirtyCopyBelowCleanOne: a dirty line evicted from the L1
+// and loaded back leaves a clean L1 copy above its dirty L2 copy. clwb
+// must write the L2 data, and the line must be clean everywhere after.
+func TestClwbFlushesDirtyCopyBelowCleanOne(t *testing.T) {
+	cfg := config.Default()
+	h, mc, _, _ := newHierCfg(cfg)
+	x := uint64(isa.HeapBase)
+	if _, ok := h.Store(100, x, []byte{0xCD}); !ok {
+		t.Fatal("store refused")
+	}
+	// The L1's other ways of x's set: same set index, distinct lines.
+	stride := uint64(cfg.L1D.Sets() * isa.LineSize)
+	for i := 1; i <= cfg.L1D.Ways; i++ {
+		if _, ok := h.Load(uint64(200+i), x+uint64(i)*stride, 8, nil); !ok {
+			t.Fatal("load refused")
+		}
+	}
+	if h.l1.lookup(x) != nil {
+		t.Fatal("x still in the L1; the set was not filled")
+	}
+	if w := h.l2.lookup(x); w == nil || !w.dirty {
+		t.Fatal("x's L1 eviction left no dirty L2 copy")
+	}
+	if _, ok := h.Load(300, x, 8, nil); !ok {
+		t.Fatal("reload refused")
+	}
+	if w := h.l1.lookup(x); w == nil || w.dirty {
+		t.Fatal("reload left no clean L1 copy")
+	}
+
+	done, wrote, ok := h.Clwb(400, x)
+	if !ok || !wrote {
+		t.Fatalf("clwb of a line dirty in the L2: ok=%v wrote=%v", ok, wrote)
+	}
+	if h.IsDirty(x) {
+		t.Fatal("line still dirty after clwb")
+	}
+	mc.ForceDrain(true)
+	for now := done; now < done+100_000 && !mc.WPQEmpty(); now++ {
+		mc.Tick(now)
+	}
+	if got := mc.Store().Read(x, 1)[0]; got != 0xCD {
+		t.Fatalf("memory byte %#x, want 0xCD", got)
+	}
+}
+
 func TestLoadReturnsStoredData(t *testing.T) {
 	h, _, _, _ := newHier()
 	addr := uint64(isa.HeapBase + 24)

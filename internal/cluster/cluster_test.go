@@ -214,7 +214,6 @@ func TestClusterDeterministicAcrossWorkerCountAndLoss(t *testing.T) {
 	// The cluster scenarios all ran the default fast-forward stepper; a
 	// local per-cycle reference run must land on the same report bytes.
 	cRef := testCampaign()
-	cRef.Stepper = core.StepperReference
 	cRef.Engine = engine.New(engine.Config{Stepper: core.StepperReference})
 	repRef, err := crashcampaign.Run(context.Background(), cRef)
 	if err != nil {

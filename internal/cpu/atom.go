@@ -69,13 +69,9 @@ func (c *Core) tickAtomQ(now uint64) {
 		c.atomQ = c.atomQ[:len(c.atomQ)-1]
 	}
 	inFlight := 0
-	limit := c.cfg.ATOM.InFlight
-	if limit < 1 {
-		limit = 1
-	}
 	for _, req := range c.atomQ {
 		if !req.sent {
-			if inFlight >= limit || c.mc.WPQFree() < 2 {
+			if inFlight >= c.cfg.ATOM.InFlight || c.mc.WPQFree() < 2 {
 				return
 			}
 			arrive := now + c.mcTrip

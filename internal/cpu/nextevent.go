@@ -93,10 +93,6 @@ func (c *Core) NextEvent(now uint64) uint64 {
 			return 0
 		}
 		upd(head.ackAt)
-		limit := c.cfg.ATOM.InFlight
-		if limit < 1 {
-			limit = 1
-		}
 		sent := 0
 		for _, r := range c.atomQ {
 			if !r.sent {
@@ -104,7 +100,7 @@ func (c *Core) NextEvent(now uint64) uint64 {
 			}
 			sent++
 		}
-		if sent < len(c.atomQ) && sent < limit {
+		if sent < len(c.atomQ) && sent < c.cfg.ATOM.InFlight {
 			return 0
 		}
 	}

@@ -40,10 +40,12 @@ func (m MinimizeMode) String() string {
 	return fmt.Sprintf("MinimizeMode(%d)", int(m))
 }
 
-// MinimizeModeByName resolves a minimize mode by name (failed, all, off),
-// case-insensitively. MinimizeMode has no text encoding: cluster tuple
-// payloads carry it as the integer.
-func MinimizeModeByName(name string) (MinimizeMode, error) { return minimizeModes.Lookup(name) }
+// MarshalText encodes a minimize mode by name.
+func (m MinimizeMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText resolves a minimize mode name (failed, all, off),
+// case-insensitively.
+func (m *MinimizeMode) UnmarshalText(text []byte) error { return minimizeModes.Unmarshal(m, text) }
 
 // Config describes a campaign.
 type Config struct {
@@ -73,13 +75,9 @@ type Config struct {
 	// Engine executes all simulation work: the full-length reference runs
 	// (memoized jobs shared with any experiments on the same engine) and
 	// one forward sweep per tuple (bounded by the same worker pool; its
-	// JobTimeout limits each tuple sweep).
+	// JobTimeout limits each tuple sweep). The sweeps step with the
+	// engine's Stepper.
 	Engine *engine.Engine
-	// Stepper selects the cycle-advance strategy for the sweep systems
-	// (the zero value is the event-driven fast stepper). The full-length
-	// reference runs executed through Engine follow the engine's own
-	// Stepper configuration instead.
-	Stepper core.Stepper
 }
 
 // Normalize fills defaulted fields (benchmark matrix, fault list, sweep
@@ -244,7 +242,7 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 		if err != nil {
 			return err
 		}
-		tgt.Seed, tgt.Stepper = c.Seed, c.Stepper
+		tgt.Seed, tgt.Stepper = c.Seed, eng.Stepper()
 		return tgt.sweep(ctx, points, faults, func(i int, inj Injection, img *nvm.Store, committed []int) {
 			out, detail := tgt.Classify(img, inj.Fault, committed)
 			results[i] = InjectionResult{Cycle: inj.Cycle, Fault: inj.Fault.String(), Outcome: out, Detail: detail}

@@ -111,7 +111,6 @@ func TestStepperEquivalentReport(t *testing.T) {
 	render := func(st core.Stepper) []byte {
 		c := testConfig(4)
 		c.Engine = engine.New(engine.Config{Workers: 4, Stepper: st})
-		c.Stepper = st
 		c.Benches = []workload.Kind{workload.Queue, workload.StringSwap}
 		c.Sweep = 6
 		c.Rand = 2

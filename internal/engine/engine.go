@@ -257,6 +257,9 @@ func New(conf Config) *Engine {
 	}
 }
 
+// Stepper returns the stepper every job of the engine runs with.
+func (e *Engine) Stepper() core.Stepper { return e.conf.Stepper }
+
 // Counters snapshots the execution counters.
 func (e *Engine) Counters() Counters {
 	return Counters{

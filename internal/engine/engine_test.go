@@ -520,3 +520,29 @@ func TestCancelRunAllRecomputes(t *testing.T) {
 		t.Fatalf("retry simulated %d times, want 1 (identical jobs share one entry)", c.Simulated)
 	}
 }
+
+// TestSimSpecBounds: a spec whose machine Validate refuses, or whose
+// operation counts exceed Table 2's, is rejected when the job is made,
+// before anything is built or allocated; the bounds themselves pass.
+func TestSimSpecBounds(t *testing.T) {
+	spec := func(mutate func(*SimSpec)) SimSpec {
+		s := DefaultSimSpec
+		mutate(&s)
+		return s
+	}
+	for name, s := range map[string]SimSpec{
+		"lpq":     spec(func(s *SimSpec) { s.LPQ = 1<<31 - 1 }),
+		"logq":    spec(func(s *SimSpec) { s.LogQ = 1<<31 - 1 }),
+		"initops": spec(func(s *SimSpec) { s.InitOps = 1_000_000_000 }),
+		"simops":  spec(func(s *SimSpec) { s.SimOps = 1_000_000_000 }),
+		"threads": spec(func(s *SimSpec) { s.Threads = 0 }),
+	} {
+		if j, err := s.Job(); err == nil {
+			t.Errorf("%s: oversized spec accepted as %v", name, j)
+		}
+	}
+	ok := spec(func(s *SimSpec) { s.LPQ, s.LogQ, s.InitOps, s.SimOps = 65536, 4096, 100_000, 100_000 })
+	if _, err := ok.Job(); err != nil {
+		t.Errorf("spec at the bounds: %v", err)
+	}
+}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -25,8 +27,18 @@ type SimSpec struct {
 // DefaultSimSpec holds proteus-sim's defaults.
 var DefaultSimSpec = SimSpec{Bench: "QE", Scheme: "Proteus", Mem: "nvm-fast", Threads: 4, Seed: 42, LogQ: 16, LPQ: 256}
 
-// Job resolves the spec's names and sizes its workload and machine.
+// maxSpecOps bounds a spec's per-thread operation counts at Table 2's
+// largest. A workload build does not check its context, so a larger
+// count would outlive every job timeout.
+const maxSpecOps = 100_000
+
+// Job resolves the spec's names and sizes its workload and machine. It
+// rejects operation counts above Table 2's and machines Validate
+// rejects, before anything is built.
 func (s SimSpec) Job() (Job, error) {
+	if s.SimOps > maxSpecOps || s.InitOps > maxSpecOps {
+		return Job{}, fmt.Errorf("engine: at most %d simops and initops per thread (got %d, %d)", maxSpecOps, s.SimOps, s.InitOps)
+	}
 	kind, err := workload.KindByName(s.Bench)
 	if err != nil {
 		return Job{}, err
@@ -35,8 +47,8 @@ func (s SimSpec) Job() (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
-	mem, err := config.ParseMemKind(s.Mem)
-	if err != nil {
+	var mem config.MemKind
+	if err := mem.UnmarshalText([]byte(s.Mem)); err != nil {
 		return Job{}, err
 	}
 	p := kind.DefaultParams(1)
@@ -54,5 +66,8 @@ func (s SimSpec) Job() (Job, error) {
 	cfg.Cores = s.Threads
 	cfg.Proteus.LogQ = s.LogQ
 	cfg.Mem.LPQ = s.LPQ
+	if err := cfg.Validate(); err != nil {
+		return Job{}, err
+	}
 	return Job{Kind: kind, Scheme: scheme, Params: p, Config: cfg}, nil
 }

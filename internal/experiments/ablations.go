@@ -24,7 +24,7 @@ func (s *Suite) PersistencyModels() (*stats.Table, error) {
 		return j
 	}
 	var cols []column
-	for _, m := range []logging.PersistencyModel{logging.ModelDurableTx, logging.ModelEpoch, logging.ModelStrict} {
+	for _, m := range []logging.PersistencyModel{logging.ModelDurableTx, logging.ModelStrict} {
 		cols = append(cols, column{m.String(), []engine.Job{model(logging.ModelDurableTx), model(m)}, cycleRatio})
 	}
 	return s.table(table{title: "Ablation: persistency models on software logging (slowdown vs durable-tx)",

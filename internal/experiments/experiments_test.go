@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -226,8 +227,8 @@ func TestAblationsQuick(t *testing.T) {
 	if g := pm.Get("geomean", "strict"); g < 1.0 {
 		t.Errorf("strict persistency geomean slowdown %.2f below 1", g)
 	}
-	if g := pm.Get("geomean", "epoch"); g != 1.0 {
-		t.Errorf("epoch model differs from durable-tx: %.3f", g)
+	if want := []string{"durable-tx", "strict"}; !slices.Equal(pm.Cols, want) {
+		t.Errorf("persistency columns %v, want %v", pm.Cols, want)
 	}
 
 	se := q.tables["static-elim"]

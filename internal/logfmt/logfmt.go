@@ -155,13 +155,6 @@ func DecodeProteusChecked(line []byte) (ProteusEntry, LineState) {
 	return e, LineValid
 }
 
-// DecodeProteus parses a 64-byte line; ok is false when the line holds no
-// whole valid entry.
-func DecodeProteus(line []byte) (ProteusEntry, bool) {
-	e, st := DecodeProteusChecked(line)
-	return e, st == LineValid
-}
-
 // SetProteusLast sets the commit mark on an encoded entry in place and
 // refreshes the integrity word.
 func SetProteusLast(line *[isa.LineSize]byte) {
@@ -236,13 +229,6 @@ func DecodePairMetaChecked(line []byte) (PairEntry, LineState) {
 	e.Len = lw & 0xFFFF_FFFF
 	e.DataCRC = uint32(lw >> 32)
 	return e, LineValid
-}
-
-// DecodePairMeta parses a metadata line; ok is false when the line holds
-// no whole valid entry.
-func DecodePairMeta(line []byte) (PairEntry, bool) {
-	e, st := DecodePairMetaChecked(line)
-	return e, st == LineValid
 }
 
 // LogFlagAddr returns the address of a thread's persistent logFlag word

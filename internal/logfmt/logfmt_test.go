@@ -11,8 +11,8 @@ func TestProteusRoundtrip(t *testing.T) {
 	prop := func(data [isa.LogBlockSize]byte, from uint64, tx uint32, seq uint64, last bool) bool {
 		e := ProteusEntry{Data: data, From: from, Tx: tx, Seq: seq, Last: last}
 		line := EncodeProteus(e)
-		d, ok := DecodeProteus(line[:])
-		return ok && d == e
+		d, st := DecodeProteusChecked(line[:])
+		return st == LineValid && d == e
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -21,13 +21,13 @@ func TestProteusRoundtrip(t *testing.T) {
 
 func TestProteusInvalidLine(t *testing.T) {
 	var zero [isa.LineSize]byte
-	if _, ok := DecodeProteus(zero[:]); ok {
+	if _, st := DecodeProteusChecked(zero[:]); st == LineValid {
 		t.Fatal("zero line decoded as valid entry")
 	}
 	if _, st := DecodeProteusChecked(zero[:]); st != LineEmpty {
 		t.Fatalf("zero line state = %v, want empty", st)
 	}
-	if _, ok := DecodeProteus(nil); ok {
+	if _, st := DecodeProteusChecked(nil); st == LineValid {
 		t.Fatal("nil decoded as valid entry")
 	}
 }
@@ -67,9 +67,9 @@ func TestProteusIntegrity(t *testing.T) {
 func TestSetProteusLast(t *testing.T) {
 	line := EncodeProteus(ProteusEntry{From: 0x40, Tx: 3})
 	SetProteusLast(&line)
-	e, ok := DecodeProteus(line[:])
-	if !ok || !e.Last {
-		t.Fatalf("mark not set: ok=%v last=%v", ok, e.Last)
+	e, st := DecodeProteusChecked(line[:])
+	if st != LineValid || !e.Last {
+		t.Fatalf("mark not set: state=%v last=%v", st, e.Last)
 	}
 }
 
@@ -77,8 +77,8 @@ func TestPairRoundtrip(t *testing.T) {
 	prop := func(from, tx uint64, ln uint8, crc uint32) bool {
 		e := PairEntry{From: from, Tx: tx, Len: uint64(ln), DataCRC: crc}
 		line := EncodePairMeta(e)
-		d, ok := DecodePairMeta(line[:])
-		return ok && d.From == from && d.Tx == tx && d.Len == uint64(ln) && d.DataCRC == crc
+		d, st := DecodePairMetaChecked(line[:])
+		return st == LineValid && d.From == from && d.Tx == tx && d.Len == uint64(ln) && d.DataCRC == crc
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestPairRoundtrip(t *testing.T) {
 
 func TestPairInvalid(t *testing.T) {
 	var zero [isa.LineSize]byte
-	if _, ok := DecodePairMeta(zero[:]); ok {
+	if _, st := DecodePairMetaChecked(zero[:]); st == LineValid {
 		t.Fatal("zero meta decoded as valid")
 	}
 	if _, st := DecodePairMetaChecked(zero[:]); st != LineEmpty {

@@ -185,14 +185,6 @@ func TestStrictPersistencyComposition(t *testing.T) {
 	if ss.Stores != ns.Stores {
 		t.Fatalf("models changed store count: %d vs %d", ss.Stores, ns.Stores)
 	}
-	// Epoch coincides with durable-tx for these workloads.
-	epoch, err := GenerateOpts(w, core.PMEM, cfg, Options{Model: ModelEpoch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if es := epoch[0].Summarize(); es.Sfences != ns.Sfences || es.Stores != ns.Stores {
-		t.Fatalf("epoch differs from durable-tx: %+v vs %+v", es, ns)
-	}
 }
 
 // TestStaticLogElimination: the compiler pass emits at most one log pair

@@ -23,13 +23,6 @@ const (
 	// order (§2.1: "significant performance costs of not allowing write
 	// reordering and write coalescing").
 	ModelStrict
-	// ModelEpoch implements epoch persistency with one epoch per
-	// transaction step but clwbs issued as stores complete — identical
-	// step boundaries to ModelDurableTx with per-line flushes batched at
-	// the epoch end. (For the modeled workloads this coincides with
-	// ModelDurableTx; it exists so the taxonomy is complete and the
-	// equivalence is checkable.)
-	ModelEpoch
 )
 
 func (m PersistencyModel) String() string {
@@ -38,8 +31,6 @@ func (m PersistencyModel) String() string {
 		return "durable-tx"
 	case ModelStrict:
 		return "strict"
-	case ModelEpoch:
-		return "epoch"
 	}
 	return fmt.Sprintf("PersistencyModel(%d)", int(m))
 }

@@ -156,14 +156,13 @@ func (c *Controller) ReadLine(now uint64, addr uint64) (done uint64, data [isa.L
 // PeekLine reads a line functionally (no timing, no queue effects),
 // merging any pending WPQ write. Used for pre-image capture by hardware
 // log creation.
-func (c *Controller) PeekLine(addr uint64) (uint64, [isa.LineSize]byte, bool) {
+func (c *Controller) PeekLine(addr uint64) (data [isa.LineSize]byte) {
 	addr = isa.LineAddr(addr)
-	var data [isa.LineSize]byte
 	if i := c.youngest(addr); i >= 0 {
-		return 0, c.wpq[i].data, true
+		return c.wpq[i].data
 	}
 	c.store.ReadInto(addr, data[:])
-	return 0, data, true
+	return data
 }
 
 // youngest returns the index of the most recently accepted WPQ entry for
@@ -566,7 +565,6 @@ func (c *Controller) LogFlush(now uint64, e LogEntry) bool {
 		c.WriteLineEvict(now, old.LogTo, old.Data, stats.WriteLog)
 		if c.st != nil {
 			c.st.LPQDrained++
-			c.st.LPQFullStall++
 		}
 	}
 	c.lpq = append(c.lpq, e)
@@ -594,8 +592,7 @@ func (c *Controller) MarkCommit(now uint64, core int, tx uint32, lastLogTo uint6
 		}
 	}
 	// Entry already in NVM (or WPQ): rewrite it with the mark set.
-	var line [isa.LineSize]byte
-	_, line, _ = c.PeekLine(lastLogTo)
+	line := c.PeekLine(lastLogTo)
 	logfmt.SetProteusLast(&line)
 	return c.WriteLine(now, lastLogTo, line, stats.WriteLog)
 }

@@ -141,7 +141,7 @@ func TestLPQOverflowDrainsToNVM(t *testing.T) {
 	}
 	// The drained entry's bytes must be in the store (it is durable NVM
 	// content for recovery).
-	if _, ok := logfmt.DecodeProteus(c.Store().Read(base, 64)); !ok {
+	if _, state := logfmt.DecodeProteusChecked(c.Store().Read(base, 64)); state != logfmt.LineValid {
 		t.Fatal("drained entry not decodable from NVM")
 	}
 }
@@ -163,9 +163,9 @@ func TestMarkCommitOnDrainedEntry(t *testing.T) {
 			break
 		}
 	}
-	e, ok := logfmt.DecodeProteus(c.Store().Read(base, 64))
-	if !ok || !e.Last {
-		t.Fatalf("mark not durable: ok=%v last=%v", ok, e.Last)
+	e, state := logfmt.DecodeProteusChecked(c.Store().Read(base, 64))
+	if state != logfmt.LineValid || !e.Last {
+		t.Fatalf("mark not durable: state=%v last=%v", state, e.Last)
 	}
 }
 
@@ -198,7 +198,7 @@ func TestCrashImageADR(t *testing.T) {
 	if adr.Read(isa.HeapBase, 1)[0] != 0x5A {
 		t.Fatal("ADR image missing WPQ write")
 	}
-	if _, ok := logfmt.DecodeProteus(adr.Read(base, 64)); !ok {
+	if _, state := logfmt.DecodeProteusChecked(adr.Read(base, 64)); state != logfmt.LineValid {
 		t.Fatal("ADR image missing LPQ entry")
 	}
 	noADR := c.CrashImage(false)
@@ -289,7 +289,7 @@ func TestForwardingReadsYoungestWrite(t *testing.T) {
 	if _, got, ok := c.ReadLine(13, isa.HeapBase); !ok || got[0] != 2 {
 		t.Errorf("ReadLine forwards %d (ok=%v), want 2 (the younger write)", got[0], ok)
 	}
-	if _, got, _ := c.PeekLine(isa.HeapBase); got[0] != 2 {
+	if got := c.PeekLine(isa.HeapBase); got[0] != 2 {
 		t.Errorf("PeekLine forwards %d, want 2 (the younger write)", got[0])
 	}
 	c.ForceDrain(true)
@@ -324,7 +324,7 @@ func TestAtomTxEndCancelsAndInvalidates(t *testing.T) {
 	// tx-end with generous tracking: the drained entry is cleared for
 	// free; the pending one is cancelled from the WPQ.
 	c.AtomTxEnd(200_001, 0, 4, []uint64{base, base + 128}, 32)
-	if _, ok := logfmt.DecodePairMeta(c.Store().Read(base, 64)); ok {
+	if _, state := logfmt.DecodePairMetaChecked(c.Store().Read(base, 64)); state == logfmt.LineValid {
 		t.Fatal("drained entry not invalidated")
 	}
 	if st.Writes[stats.WriteTruncate] != 0 {
@@ -338,7 +338,7 @@ func TestAtomTxEndCancelsAndInvalidates(t *testing.T) {
 			break
 		}
 	}
-	if _, ok := logfmt.DecodePairMeta(c.Store().Read(base+128, 64)); ok {
+	if _, state := logfmt.DecodePairMetaChecked(c.Store().Read(base+128, 64)); state == logfmt.LineValid {
 		t.Fatal("cancelled entry resurrected in NVM")
 	}
 }

@@ -83,9 +83,6 @@ func (s *StartGap) Moves() uint64 { return s.moves }
 // additional device write each.
 func (d *Device) EnableWearLeveling(sg *StartGap) { d.wear = sg }
 
-// WearLeveler returns the attached leveler, nil if none.
-func (d *Device) WearLeveler() *StartGap { return d.wear }
-
 // wearRemap applies the leveler (if any) to an address and, on writes,
 // advances the gap — charging the copy write to the device.
 func (d *Device) wearRemap(now uint64, addr uint64, write bool) uint64 {

@@ -444,6 +444,36 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedSpecRefusedAtAdmission: a sim spec whose machine or
+// workload is too large to build is a 400 at admission, so it is never
+// queued. The server's workers are not started: an accepted spec would
+// wait in the queue instead of allocating.
+func TestOversizedSpecRefusedAtAdmission(t *testing.T) {
+	s, err := New(Config{Engine: engine.New(engine.Config{Workers: 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, spec := range []string{
+		`{"type":"sim","lpq":2147483647}`,
+		`{"type":"sim","logq":2147483647}`,
+		`{"type":"sim","initops":1000000000}`,
+		`{"type":"sim","simops":1000000000}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e map[string]string
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || e["error"] == "" {
+			t.Errorf("%s: code=%d err=%q, want 400 with reason", spec, resp.StatusCode, e["error"])
+		}
+	}
+}
+
 // TestListAndCancel covers the job listing and explicit cancellation of
 // a queued task.
 func TestListAndCancel(t *testing.T) {

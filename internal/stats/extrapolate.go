@@ -53,7 +53,6 @@ func (m *Mem) AddScaledDiff(before *Mem, k uint64) {
 	m.RowBufferMiss += (m.RowBufferMiss - before.RowBufferMiss) * k
 	m.ReadQFullStall += (m.ReadQFullStall - before.ReadQFullStall) * k
 	m.WPQFullStall += (m.WPQFullStall - before.WPQFullStall) * k
-	m.LPQFullStall += (m.LPQFullStall - before.LPQFullStall) * k
 	m.WPQResidency += (m.WPQResidency - before.WPQResidency) * k
 	m.WPQDrained += (m.WPQDrained - before.WPQDrained) * k
 	m.WPQIssueDelay += (m.WPQIssueDelay - before.WPQIssueDelay) * k

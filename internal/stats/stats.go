@@ -16,20 +16,16 @@ import (
 type StallCause int
 
 const (
-	StallNone StallCause = iota
-	StallROB
+	StallROB StallCause = iota
 	StallLoadQ
 	StallStoreQ
-	StallLogReg  // no free Proteus log register
-	StallLogQ    // LogQ full: dispatch must stall (§4.2)
-	StallDrained // trace exhausted; not counted as a stall
+	StallLogReg // no free Proteus log register
+	StallLogQ   // LogQ full: dispatch must stall (§4.2)
 	numStallCauses
 )
 
 func (c StallCause) String() string {
 	switch c {
-	case StallNone:
-		return "none"
 	case StallROB:
 		return "rob"
 	case StallLoadQ:
@@ -40,8 +36,6 @@ func (c StallCause) String() string {
 		return "logreg"
 	case StallLogQ:
 		return "logq"
-	case StallDrained:
-		return "drained"
 	}
 	return fmt.Sprintf("StallCause(%d)", int(c))
 }
@@ -97,9 +91,11 @@ type Core struct {
 // FrontEndStalls sums the stall cycles that block dispatch for lack of
 // resources (ROB, LSQ, log structures), matching Figure 7's metric.
 func (c *Core) FrontEndStalls() uint64 {
-	return c.StallCycles[StallROB] + c.StallCycles[StallLoadQ] +
-		c.StallCycles[StallStoreQ] + c.StallCycles[StallLogReg] +
-		c.StallCycles[StallLogQ]
+	var t uint64
+	for _, n := range c.StallCycles {
+		t += n
+	}
+	return t
 }
 
 // LLTMissRate returns the LLT miss rate in percent (Table 4).
@@ -123,7 +119,6 @@ type Mem struct {
 	RowBufferMiss  uint64
 	ReadQFullStall uint64
 	WPQFullStall   uint64
-	LPQFullStall   uint64
 	// WPQResidency accumulates cycles entries spent in the WPQ from
 	// arrival to drain completion; divide by drained writes for the mean.
 	WPQResidency uint64

@@ -77,7 +77,6 @@ func TestCoreStallAggregation(t *testing.T) {
 	var c Core
 	c.StallCycles[StallROB] = 10
 	c.StallCycles[StallLogQ] = 5
-	c.StallCycles[StallDrained] = 100 // not a resource stall
 	if got := c.FrontEndStalls(); got != 15 {
 		t.Fatalf("front-end stalls %d", got)
 	}

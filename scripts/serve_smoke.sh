@@ -5,7 +5,9 @@
 # simulation over HTTP and assert it is answered from the store (the CLI
 # and HTTP name the same tuple), assert that an identical resubmission is
 # answered from the cache (no new simulation), scrape /metrics, then
-# SIGTERM the server and assert it drains and exits 0.
+# SIGTERM the server and assert it drains and exits 0. Before the first
+# job it posts a spec whose LPQ cannot be allocated and asserts a 400
+# with the server still healthy.
 set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18080}"
@@ -38,6 +40,14 @@ for i in $(seq 1 50); do
 done
 curl -fsS "$BASE/healthz" >/dev/null || { say "server never became healthy"; exit 1; }
 say "server healthy on $ADDR"
+
+# A machine Validate refuses (an LPQ of 2^31-1 entries, ~200 GB) is a
+# 400 at admission: it is never queued, so no worker allocates it.
+CODE=$(curl -sS -o "$WORK/oversized.json" -w '%{http_code}' -XPOST "$BASE/v1/jobs" -d '{"type":"sim","lpq":2147483647}')
+[ "$CODE" = 400 ] || { say "oversized spec answered $CODE, want 400: $(cat "$WORK/oversized.json")"; exit 1; }
+HEALTH=$(curl -sS -o /dev/null -w '%{http_code}' "$BASE/healthz")
+[ "$HEALTH" = 200 ] || { say "healthz answered $HEALTH after the oversized spec, want 200"; exit 1; }
+say "oversized spec refused with 400; healthz still 200"
 
 # Submit asynchronously and poll to completion.
 SUBMIT=$(curl -fsS -XPOST "$BASE/v1/jobs" -d "$SPEC")
