@@ -49,7 +49,7 @@ func TestReportBytesAreDeterministic(t *testing.T) {
 
 // fullGrammarSHA256 is the digest of the full-grammar report at seed 0
 // (proteus-litmus -programs all -faults all -seed 0).
-const fullGrammarSHA256 = "384ad911587e38c9bdb8418aadd804324925a3eeaf273b520f12ab39d6493868"
+const fullGrammarSHA256 = "605c63579afbf1ccad1d94bc99820f5837625b4662625e441d8bffcf7e0e398b"
 
 // The full grammar must also sweep clean; this is the slow exhaustive
 // pass behind the curated gate. Its report bytes are pinned by digest.
