@@ -159,7 +159,8 @@ type Hierarchy struct {
 	st     *stats.Core
 }
 
-// NewHierarchy wires a core's private levels to the shared L3 and MC.
+// NewHierarchy wires a core's private levels to the shared L3 and MC. Its
+// hits and misses count into st, which must not be nil.
 func NewHierarchy(cfg config.Config, l3 *Level, mc *memctrl.Controller, st *stats.Core) *Hierarchy {
 	return &Hierarchy{
 		l1: NewLevel(cfg.L1D), l2: NewLevel(cfg.L2), l3: l3,
@@ -185,26 +186,20 @@ func (h *Hierarchy) Release() {
 func (h *Hierarchy) fill(now uint64, line uint64) (*way, uint64, bool) {
 	if w := h.l1.lookup(line); w != nil {
 		w.lru = now
-		if h.st != nil {
-			h.st.LoadHitsL1++
-		}
+		h.st.LoadHitsL1++
 		return w, now + uint64(h.l1.Latency()), true
 	}
 	if w := h.l2.lookup(line); w != nil {
 		w.lru = now
 		nw := h.allocate(h.l1, now, line, w.data)
-		if h.st != nil {
-			h.st.LoadHitsL2++
-		}
+		h.st.LoadHitsL2++
 		return nw, now + uint64(h.l2.Latency()), true
 	}
 	if w := h.l3.lookup(line); w != nil {
 		w.lru = now
 		h.allocate(h.l2, now, line, w.data)
 		nw := h.allocate(h.l1, now, line, w.data)
-		if h.st != nil {
-			h.st.LoadHitsL3++
-		}
+		h.st.LoadHitsL3++
 		return nw, now + uint64(h.l3.Latency()), true
 	}
 	// Miss all the way to memory.
@@ -213,9 +208,7 @@ func (h *Hierarchy) fill(now uint64, line uint64) (*way, uint64, bool) {
 	if !ok {
 		return nil, 0, false
 	}
-	if h.st != nil {
-		h.st.LoadMisses++
-	}
+	h.st.LoadMisses++
 	h.allocate(h.l3, now, line, data)
 	h.allocate(h.l2, now, line, data)
 	nw := h.allocate(h.l1, now, line, data)

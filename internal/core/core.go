@@ -262,9 +262,6 @@ func (s *System) Release() {
 	s.hiers, s.l3 = nil, nil
 }
 
-// Device exposes the memory device (endurance accounting).
-func (s *System) Device() *nvm.Device { return s.dev }
-
 // Store exposes the functional memory contents (benchmarks and tests).
 func (s *System) Store() *nvm.Store { return s.store }
 

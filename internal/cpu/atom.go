@@ -30,9 +30,7 @@ func (c *Core) atomMaybeLog(now uint64, t *txState, line uint64, tx uint32) {
 	t.atomReqs = append(t.atomReqs, req)
 	t.atomEntries = append(t.atomEntries, req.metaAddr)
 	c.atomQ = append(c.atomQ, req)
-	if c.st != nil {
-		c.st.LogFlushes++
-	}
+	c.st.LogFlushes++
 }
 
 // atomAcked reports whether the line's log entry has been acknowledged by

@@ -228,7 +228,8 @@ type Source interface {
 
 // New builds a core executing the ops of src (nil: an idle core) in the
 // given mode. lwr enables Proteus's log write removal (the LPQ path); it
-// is ignored in other modes.
+// is ignored in other modes. The core counts into st, which must not be
+// nil.
 func New(id int, cfg config.Config, mode Mode, lwr bool, hier *cache.Hierarchy, mc *memctrl.Controller, src Source, st *stats.Core) *Core {
 	logStart, logEnd := isa.LogWindow(id)
 	nTx := 0
@@ -429,9 +430,7 @@ func (c *Core) Tick(now uint64) {
 		c.logQEmpty() && len(c.atomQ) == 0 {
 		c.finished = true
 		c.doneCycle = now
-		if c.st != nil {
-			c.st.Cycles = now
-		}
+		c.st.Cycles = now
 	}
 }
 
@@ -517,9 +516,7 @@ func min64(a, b uint64) uint64 {
 // ---------------------------------------------------------------- dispatch
 
 func (c *Core) stall(cause stats.StallCause) {
-	if c.st != nil {
-		c.st.StallCycles[cause]++
-	}
+	c.st.StallCycles[cause]++
 }
 
 func (c *Core) dispatch(now uint64) {
@@ -726,9 +723,7 @@ func (c *Core) retire(now uint64) {
 			}
 			if c.mode == ModeATOM && e.op.Kind == isa.St && e.op.Tx != 0 && isa.IsPersistentAddr(e.op.Addr) {
 				if !c.atomAcked(e.op.Tx, isa.LineAddr(e.op.Addr), now) {
-					if c.st != nil {
-						c.st.ATOMLogDelays++
-					}
+					c.st.ATOMLogDelays++
 					return
 				}
 			}
@@ -739,27 +734,19 @@ func (c *Core) retire(now uint64) {
 				return
 			}
 			c.sbPush(sbEntry{kind: sbClwb, addr: e.op.Addr})
-			if c.st != nil {
-				c.st.Clwbs++
-			}
+			c.st.Clwbs++
 
 		case isa.Sfence:
 			if !c.persistComplete(now) {
-				if c.st != nil {
-					c.st.SfenceWait++
-				}
+				c.st.SfenceWait++
 				return
 			}
-			if c.st != nil {
-				c.st.Sfences++
-			}
+			c.st.Sfences++
 
 		case isa.Pcommit:
 			if !c.pcommitForcing {
 				if !c.persistComplete(now) {
-					if c.st != nil {
-						c.st.PcommitWait++
-					}
+					c.st.PcommitWait++
 					return
 				}
 				// All prior persists accepted; now drain what is pending.
@@ -768,9 +755,7 @@ func (c *Core) retire(now uint64) {
 				c.mc.ForceDrain(true)
 			}
 			if !c.mc.WPQDrainedThrough(c.pcommitSeq) {
-				if c.st != nil {
-					c.st.PcommitWait++
-				}
+				c.st.PcommitWait++
 				return
 			}
 			if c.pcommitForcing {
@@ -783,9 +768,7 @@ func (c *Core) retire(now uint64) {
 
 		case isa.TxEnd:
 			if !c.retireTxEnd(now, e.op.Tx) {
-				if c.st != nil {
-					c.st.TxEndWait++
-				}
+				c.st.TxEndWait++
 				return
 			}
 
@@ -805,11 +788,9 @@ func (c *Core) retire(now uint64) {
 		if e.op.Kind == isa.Ld || e.op.Kind == isa.LockAcq || e.op.Kind == isa.LogLoad {
 			c.loads--
 		}
-		if c.st != nil {
-			c.st.Retired++
-			if e.op.Kind == isa.St {
-				c.st.Stores++
-			}
+		c.st.Retired++
+		if e.op.Kind == isa.St {
+			c.st.Stores++
 		}
 		c.robPop()
 	}
@@ -876,9 +857,7 @@ func (c *Core) drainStoreBuffer(now uint64) {
 	case sbClwb:
 		done, _, ok := c.hier.Clwb(now, e.addr)
 		if !ok {
-			if c.st != nil {
-				c.st.SBWPQBlocked++
-			}
+			c.st.SBWPQBlocked++
 			return
 		}
 		c.persistAcks = append(c.persistAcks, done)

@@ -26,9 +26,7 @@ func (c *Core) ProgressSig() uint64 {
 	h = h*m + uint64(len(c.atomQ))<<16 + uint64(len(c.txs))<<8 + uint64(c.txEndStage)
 	h = h*m + uint64(c.lqCount)<<8 + uint64(len(c.persistAcks))
 	h = h*m + uint64(c.unissued)
-	if c.st != nil {
-		h = h*m + c.st.Retired
-	}
+	h = h*m + c.st.Retired
 	return h
 }
 

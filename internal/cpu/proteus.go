@@ -32,13 +32,11 @@ func (c *Core) freeLR() int {
 func (c *Core) dispatchLogLoad(now uint64, op isa.Op, lri int) {
 	block := isa.LogBlockAddr(op.Addr)
 	hit := c.llt.LookupInsert(block, now)
-	if c.st != nil {
-		c.st.LogLoads++
-		if hit {
-			c.st.LLTHits++
-		} else {
-			c.st.LLTMisses++
-		}
+	c.st.LogLoads++
+	if hit {
+		c.st.LLTHits++
+	} else {
+		c.st.LLTMisses++
 	}
 	c.lr[lri] = lrSlot{busy: true, filtered: hit, addr: block}
 	if !hit {
@@ -115,9 +113,7 @@ func (c *Core) dispatchLogFlush(now uint64, op isa.Op) bool {
 		t.logCount++
 		t.lastLogTo = logTo
 		if uint64(t.logCount)*isa.LineSize > c.logEnd-c.logStart {
-			if c.st != nil {
-				c.st.LogOverflow++
-			}
+			c.st.LogOverflow++
 		}
 	}
 
@@ -127,9 +123,7 @@ func (c *Core) dispatchLogFlush(now uint64, op isa.Op) bool {
 		tx: op.Tx, seq: c.lqSeq,
 	}
 	c.lqCount++
-	if c.st != nil {
-		c.st.LogFlushes++
-	}
+	c.st.LogFlushes++
 	c.robPush(robEntry{op: op, issued: true, doneAt: now + 1, lr: lri, lqe: slot, lqSeq: c.lqSeq})
 	return true
 }

@@ -100,9 +100,7 @@ func (c *Core) retireTxEnd(now uint64, tx uint32) bool {
 			c.mc.AtomTxEnd(now, c.id, tx, t.atomEntries, c.cfg.ATOM.MCTrackEntries)
 		}
 		c.Commits = append(c.Commits, Commit{Tx: tx, Cycle: now})
-		if c.st != nil {
-			c.st.TxCommitted++
-		}
+		c.st.TxCommitted++
 		c.popTx()
 		c.curTx = 0
 		c.txEndStage = txEndIdle

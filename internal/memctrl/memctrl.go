@@ -88,6 +88,7 @@ type Controller struct {
 // New returns a controller draining into dev/store. The drain policy
 // (hold-back threshold and maximum entry age) comes from the configuration
 // so the §4.3 scheduling parameters can be swept like the queue capacities.
+// The controller counts into st, which must not be nil.
 func New(cfg config.Mem, dev *nvm.Device, store *nvm.Store, st *stats.Mem) *Controller {
 	return &Controller{
 		cfg: cfg, dev: dev, store: store, st: st,
@@ -110,9 +111,6 @@ func New(cfg config.Mem, dev *nvm.Device, store *nvm.Store, st *stats.Mem) *Cont
 // the same cycles.
 func (c *Controller) IssueEveryCycle(on bool) { c.everyCycle = on }
 
-// Device returns the attached device (for endurance accounting).
-func (c *Controller) Device() *nvm.Device { return c.dev }
-
 // Store returns the functional NVM contents.
 func (c *Controller) Store() *nvm.Store { return c.store }
 
@@ -129,22 +127,16 @@ func (c *Controller) ReadLine(now uint64, addr uint64) (done uint64, data [isa.L
 	addr = isa.LineAddr(addr)
 	if i := c.youngest(addr); i >= 0 {
 		// WPQ forwarding: a short fixed lookup cost.
-		if c.st != nil {
-			c.st.WPQForwards++
-		}
+		c.st.WPQForwards++
 		return now + 4, c.wpq[i].data, true
 	}
 	if len(c.reads) >= c.cfg.ReadQ {
-		if c.st != nil {
-			c.st.ReadQFullStall++
-		}
+		c.st.ReadQFullStall++
 		return 0, data, false
 	}
 	done = c.dev.Access(now, addr, false, stats.WriteData)
-	if c.st != nil {
-		c.st.ReadLatency += done - now
-		c.st.ReadsServed++
-	}
+	c.st.ReadLatency += done - now
+	c.st.ReadsServed++
 	if len(c.reads) == 0 || done < c.readsMin {
 		c.readsMin = done
 	}
@@ -189,9 +181,7 @@ func (c *Controller) WriteLine(now uint64, addr uint64, data [isa.LineSize]byte,
 		return true
 	}
 	if len(c.wpq) >= c.cfg.WPQ {
-		if c.st != nil {
-			c.st.WPQFullStall++
-		}
+		c.st.WPQFullStall++
 		return false
 	}
 	c.accept(wpqEntry{addr: addr, data: data, cause: cause, arrived: now})
@@ -205,9 +195,7 @@ func (c *Controller) coalesce(addr uint64, data *[isa.LineSize]byte) bool {
 		if c.wpq[i].addr == addr && !c.wpq[i].issued {
 			c.wpq[i].data = *data
 			c.muts++
-			if c.st != nil {
-				c.st.WPQCoalesced++
-			}
+			c.st.WPQCoalesced++
 			return true
 		}
 	}
@@ -228,9 +216,7 @@ func (c *Controller) accept(e wpqEntry) {
 func (c *Controller) atomWrite(now uint64, addr uint64, data [isa.LineSize]byte, cause stats.WriteCause, core int, tx uint32) bool {
 	addr = isa.LineAddr(addr)
 	if len(c.wpq) >= c.cfg.WPQ {
-		if c.st != nil {
-			c.st.WPQFullStall++
-		}
+		c.st.WPQFullStall++
 		return false
 	}
 	c.accept(wpqEntry{addr: addr, data: data, cause: cause, arrived: now, atomCore: core + 1, atomTx: tx})
@@ -292,7 +278,7 @@ func (c *Controller) WriteLineEvict(now uint64, addr uint64, data [isa.LineSize]
 	if c.coalesce(addr, &data) {
 		return
 	}
-	if len(c.wpq) >= c.cfg.WPQ && c.st != nil {
+	if len(c.wpq) >= c.cfg.WPQ {
 		c.st.WPQFullStall++
 	}
 	c.accept(wpqEntry{addr: addr, data: data, cause: cause, arrived: now})
@@ -355,17 +341,15 @@ func (c *Controller) retirePass(now uint64) {
 	for _, e := range c.wpq {
 		if e.issued && e.doneAt <= now {
 			c.store.Write(e.addr, e.data[:])
-			if c.st != nil {
-				c.st.WPQDrained++
-				if e.doneAt > e.arrived {
-					c.st.WPQResidency += e.doneAt - e.arrived
-				}
-				if e.issueAt > e.arrived {
-					c.st.WPQIssueDelay += e.issueAt - e.arrived
-				}
-				if e.doneAt > e.issueAt {
-					c.st.WPQService += e.doneAt - e.issueAt
-				}
+			c.st.WPQDrained++
+			if e.doneAt > e.arrived {
+				c.st.WPQResidency += e.doneAt - e.arrived
+			}
+			if e.issueAt > e.arrived {
+				c.st.WPQIssueDelay += e.issueAt - e.arrived
+			}
+			if e.doneAt > e.issueAt {
+				c.st.WPQService += e.doneAt - e.issueAt
 			}
 			continue
 		}
@@ -547,9 +531,7 @@ func (c *Controller) LogFlush(now uint64, e LogEntry) bool {
 	l := c.lpq[:0]
 	for _, p := range c.lpq {
 		if p.Core == e.Core && p.Tx != e.Tx && p.Last {
-			if c.st != nil {
-				c.st.LPQDropped++
-			}
+			c.st.LPQDropped++
 			continue
 		}
 		l = append(l, p)
@@ -563,15 +545,11 @@ func (c *Controller) LogFlush(now uint64, e LogEntry) bool {
 		copy(c.lpq, c.lpq[1:])
 		c.lpq = c.lpq[:len(c.lpq)-1]
 		c.WriteLineEvict(now, old.LogTo, old.Data, stats.WriteLog)
-		if c.st != nil {
-			c.st.LPQDrained++
-		}
+		c.st.LPQDrained++
 	}
 	c.lpq = append(c.lpq, e)
 	c.muts++
-	if c.st != nil {
-		c.st.LPQAccepted++
-	}
+	c.st.LPQAccepted++
 	return true
 }
 
@@ -605,9 +583,7 @@ func (c *Controller) FlashClear(core int, tx uint32) {
 	l := c.lpq[:0]
 	for _, e := range c.lpq {
 		if e.Core == core && e.Tx == tx && !e.Last {
-			if c.st != nil {
-				c.st.LPQDropped++
-			}
+			c.st.LPQDropped++
 			continue
 		}
 		l = append(l, e)
@@ -633,9 +609,7 @@ func (c *Controller) DrainLog(now uint64, core int, tx uint32) {
 		if e.Core == core && e.Tx == tx {
 			c.dev.Access(now, e.LogTo, true, stats.WriteLog)
 			c.store.Write(e.LogTo, e.Data[:])
-			if c.st != nil {
-				c.st.LPQDrained++
-			}
+			c.st.LPQDrained++
 			continue
 		}
 		l = append(l, e)

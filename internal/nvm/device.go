@@ -2,7 +2,6 @@ package nvm
 
 import (
 	"repro/internal/config"
-	"repro/internal/isa"
 	"repro/internal/stats"
 )
 
@@ -20,13 +19,7 @@ import (
 type Device struct {
 	cfg   config.Mem
 	banks []bank
-
-	// endurance tracks per-block write counts when enabled (the
-	// examples/endurance scenario and Figure 8's lifetime argument).
-	endurance map[uint64]uint64
-	// wear optionally rotates physical placement (Start-Gap).
-	wear  *StartGap
-	Stats *stats.Mem
+	st    *stats.Mem
 }
 
 type bank struct {
@@ -35,24 +28,15 @@ type bank struct {
 	lastWrite bool
 }
 
-// NewDevice returns a device with all banks idle and rows closed.
+// NewDevice returns a device with all banks idle and rows closed. Every
+// access counts into st, which must not be nil.
 func NewDevice(cfg config.Mem, st *stats.Mem) *Device {
-	d := &Device{cfg: cfg, banks: make([]bank, cfg.Banks), Stats: st}
+	d := &Device{cfg: cfg, banks: make([]bank, cfg.Banks), st: st}
 	for i := range d.banks {
 		d.banks[i].openRow = -1
 	}
 	return d
 }
-
-// EnableEndurance turns on per-block write counting.
-func (d *Device) EnableEndurance() {
-	if d.endurance == nil {
-		d.endurance = make(map[uint64]uint64)
-	}
-}
-
-// WriteCounts returns the per-block write counts (nil unless enabled).
-func (d *Device) WriteCounts() map[uint64]uint64 { return d.endurance }
 
 // bankAndRow maps addresses at row granularity: a 2KB-aligned region
 // shares one row buffer, and the row index is hashed across banks. Hot
@@ -98,7 +82,6 @@ const burst = 4
 // row-buffer statistics. Write accesses additionally count toward NVMM
 // write totals under the given cause.
 func (d *Device) Access(now uint64, addr uint64, write bool, cause stats.WriteCause) uint64 {
-	addr = d.wearRemap(now, addr, write)
 	bi, row := d.bankAndRow(addr)
 	bk := &d.banks[bi]
 	start := now
@@ -121,16 +104,12 @@ func (d *Device) Access(now uint64, addr uint64, write bool, cause stats.WriteCa
 		// the burst — column accesses to an open row pipeline.
 		lat = t.TCAS + burst
 		occ = burst
-		if d.Stats != nil {
-			d.Stats.RowBufferHits++
-		}
+		d.st.RowBufferHits++
 	case bk.openRow < 0:
 		// Closed bank: activate + CAS.
 		lat = d.trcd(write) + t.TCAS + burst
 		occ = t.TRCD + t.TCAS + burst
-		if d.Stats != nil {
-			d.Stats.RowBufferMiss++
-		}
+		d.st.RowBufferMiss++
 	default:
 		// Conflict: precharge + activate + CAS, plus write recovery if
 		// the last access was a write.
@@ -140,9 +119,7 @@ func (d *Device) Access(now uint64, addr uint64, write bool, cause stats.WriteCa
 			lat += t.TWR
 			occ += t.TWR
 		}
-		if d.Stats != nil {
-			d.Stats.RowBufferMiss++
-		}
+		d.st.RowBufferMiss++
 	}
 	if !write {
 		occ = lat
@@ -152,19 +129,12 @@ func (d *Device) Access(now uint64, addr uint64, write bool, cause stats.WriteCa
 	bk.openRow = row
 	bk.busyUntil = start + d.cpuCycles(occ)
 	bk.lastWrite = write
-	if d.Stats != nil {
-		d.Stats.BankBusy += d.cpuCycles(occ)
-	}
+	d.st.BankBusy += d.cpuCycles(occ)
 
-	if d.Stats != nil {
-		if write {
-			d.Stats.Writes[cause]++
-		} else {
-			d.Stats.Reads++
-		}
-	}
-	if write && d.endurance != nil {
-		d.endurance[isa.LineAddr(addr)]++
+	if write {
+		d.st.Writes[cause]++
+	} else {
+		d.st.Reads++
 	}
 	return done
 }

@@ -499,18 +499,6 @@ func TestDeviceBankParallelism(t *testing.T) {
 	}
 }
 
-func TestDeviceEndurance(t *testing.T) {
-	d, _ := newDev(config.NVMFast)
-	d.EnableEndurance()
-	d.Access(0, isa.HeapBase, true, stats.WriteData)
-	d.Access(1000, isa.HeapBase, true, stats.WriteData)
-	d.Access(2000, isa.HeapBase+64, true, stats.WriteData)
-	wc := d.WriteCounts()
-	if wc[isa.HeapBase] != 2 || wc[isa.HeapBase+64] != 1 {
-		t.Fatalf("write counts: %v", wc)
-	}
-}
-
 func TestDeviceBankSpreadForAlignedRegions(t *testing.T) {
 	d, _ := newDev(config.NVMFast)
 	// Per-thread regions are large power-of-two strides; their hot rows
