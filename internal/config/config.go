@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/enum"
+	"repro/internal/isa"
 )
 
 // MemKind selects the main-memory device model.
@@ -199,54 +200,76 @@ func (c Config) WithMemKind(k MemKind) Config {
 	return c
 }
 
-// maxLogQ and maxLPQ bound the Proteus queues, which are allocated at
-// their configured size (the LogQ once per core). Figure 12 sweeps the
-// LPQ to 512; 65,536 entries keep Table 3's large transactions from
-// overflowing it.
-const (
-	maxLogQ = 4096
-	maxLPQ  = 65536
-)
-
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every numeric leaf is bounded
+// from both sides. NewSystem allocates the caches, queues and Proteus
+// structures at their configured sizes and ticks through every latency,
+// and a cluster sim payload carries the whole Config, so an upper bound
+// is what keeps one decoded payload from exhausting a worker. Each upper
+// bound sits well above the largest value a figure, ablation, test or the
+// benchmark uses (noted beside it), and 0 is allowed only where a run
+// uses it.
 func (c Config) Validate() error {
-	if c.Cores < 1 {
-		return fmt.Errorf("config: cores must be >= 1, got %d", c.Cores)
+	for _, b := range []struct {
+		leaf      string
+		v, lo, hi int
+	}{
+		{"Cores", c.Cores, 1, isa.MaxThreads},           // one heap and log window per thread
+		{"Core.Width", c.Core.Width, 1, 64},             // 5
+		{"Core.ROB", c.Core.ROB, 1, 4096},               // 224
+		{"Core.LoadQ", c.Core.LoadQ, 1, 4096},           // 72
+		{"Core.StoreQ", c.Core.StoreQ, 1, 4096},         // 56
+		{"Core.StoreBuf", c.Core.StoreBuf, 1, 4096},     // 56
+		{"Core.AluPerMem", c.Core.AluPerMem, 1, 1024},   // 8
+		{"Core.AluPerTxn", c.Core.AluPerTxn, 0, 100000}, // 2,000; litmus runs 0
+		{"L1D.SizeBytes", c.L1D.SizeBytes, 64, 1 << 20}, // 32 KiB
+		{"L2.SizeBytes", c.L2.SizeBytes, 64, 8 << 20},   // 256 KiB
+		{"L3.SizeBytes", c.L3.SizeBytes, 64, 64 << 20},  // 8 MiB
+		{"L1D.Ways", c.L1D.Ways, 1, 64},                 // 8
+		{"L2.Ways", c.L2.Ways, 1, 64},                   // 8
+		{"L3.Ways", c.L3.Ways, 1, 64},                   // 16
+		{"L1D.Latency", c.L1D.Latency, 1, 1000},         // 8
+		{"L2.Latency", c.L2.Latency, 1, 1000},           // 24
+		{"L3.Latency", c.L3.Latency, 1, 1000},           // 60
+		{"Mem.Kind", int(c.Mem.Kind), int(NVMFast), int(DRAM)},
+		{"Mem.Banks", c.Mem.Banks, 1, 1024},                             // 16
+		{"Mem.RowBytes", c.Mem.RowBytes, 64, 65536},                     // 2,048
+		{"Mem.Timing.TCAS", c.Mem.Timing.TCAS, 1, 1000},                 // 22 memory cycles
+		{"Mem.Timing.TRCD", c.Mem.Timing.TRCD, 1, 1000},                 // 22
+		{"Mem.Timing.TRP", c.Mem.Timing.TRP, 1, 1000},                   // 22
+		{"Mem.Timing.TWR", c.Mem.Timing.TWR, 1, 1000},                   // 24
+		{"Mem.Timing.TRCDReadNVM", c.Mem.Timing.TRCDReadNVM, 1, 1000},   // 58
+		{"Mem.Timing.TRCDWriteNVM", c.Mem.Timing.TRCDWriteNVM, 1, 1000}, // 245
+		{"Mem.L3ToMC", c.Mem.L3ToMC, 1, 1000},                           // 30
+		{"Mem.ReadQ", c.Mem.ReadQ, 1, 4096},                             // 32
+		{"Mem.WPQ", c.Mem.WPQ, 1, 4096},                                 // 256
+		{"Mem.LPQ", c.Mem.LPQ, 1, 65536},                                // 512; Table 3's transactions fit 65,536
+		{"Mem.DrainHi", c.Mem.DrainHi, 0, c.Mem.WPQ},                    // 64
+		{"Mem.MaxWPQAge", c.Mem.MaxWPQAge, 1, 10000},                    // 500
+		{"Proteus.LogRegs", c.Proteus.LogRegs, 1, 1024},                 // 8
+		{"Proteus.LogQ", c.Proteus.LogQ, 1, 4096},                       // 64
+		{"Proteus.LLTSize", c.Proteus.LLTSize, 1, 4096},                 // 256
+		{"Proteus.LLTWays", c.Proteus.LLTWays, 1, 64},                   // 8
+		{"ATOM.MCTrackEntries", c.ATOM.MCTrackEntries, 1, 4096},         // 32
+		{"ATOM.InFlight", c.ATOM.InFlight, 1, 1024},                     // 16
+	} {
+		if b.v < b.lo || b.v > b.hi {
+			return fmt.Errorf("config: %s %d outside [%d, %d]", b.leaf, b.v, b.lo, b.hi)
+		}
 	}
-	if c.Core.Width < 1 || c.Core.ROB < 1 {
-		return fmt.Errorf("config: bad core width/ROB (%d/%d)", c.Core.Width, c.Core.ROB)
+	// NaN fails both comparisons.
+	if !(c.Mem.ClockRatio > 0 && c.Mem.ClockRatio <= 64) { // 4.25
+		return fmt.Errorf("config: Mem.ClockRatio %v outside (0, 64]", c.Mem.ClockRatio)
 	}
 	for _, cc := range []struct {
 		name string
 		c    Cache
 	}{{"L1D", c.L1D}, {"L2", c.L2}, {"L3", c.L3}} {
-		if cc.c.Ways < 1 || cc.c.SizeBytes < 64*cc.c.Ways || cc.c.Sets()&(cc.c.Sets()-1) != 0 {
+		if cc.c.SizeBytes < 64*cc.c.Ways || cc.c.Sets()&(cc.c.Sets()-1) != 0 {
 			return fmt.Errorf("config: %s geometry invalid (%d bytes, %d ways)", cc.name, cc.c.SizeBytes, cc.c.Ways)
 		}
 	}
-	if c.Mem.Banks < 1 || c.Mem.RowBytes < 64 {
-		return fmt.Errorf("config: bad memory geometry")
-	}
-	if c.Mem.ReadQ < 1 || c.Mem.WPQ < 1 || c.Mem.LPQ < 1 {
-		return fmt.Errorf("config: bad MC queue capacities (readq %d, wpq %d, lpq %d)",
-			c.Mem.ReadQ, c.Mem.WPQ, c.Mem.LPQ)
-	}
-	if c.Mem.LPQ > maxLPQ || c.Proteus.LogQ > maxLogQ {
-		return fmt.Errorf("config: LPQ at most %d and LogQ at most %d entries (got %d, %d)",
-			maxLPQ, maxLogQ, c.Mem.LPQ, c.Proteus.LogQ)
-	}
-	if c.Mem.DrainHi < 0 || c.Mem.DrainHi > c.Mem.WPQ {
-		return fmt.Errorf("config: DrainHi %d outside [0, WPQ=%d]", c.Mem.DrainHi, c.Mem.WPQ)
-	}
-	if c.Mem.MaxWPQAge < 1 {
-		return fmt.Errorf("config: MaxWPQAge must be >= 1, got %d", c.Mem.MaxWPQAge)
-	}
-	if c.Proteus.LogRegs < 1 || c.Proteus.LogQ < 1 || c.Proteus.LLTWays < 1 ||
-		c.Proteus.LLTSize%c.Proteus.LLTWays != 0 {
-		return fmt.Errorf("config: bad Proteus structure sizes")
-	}
-	if c.ATOM.InFlight < 1 {
-		return fmt.Errorf("config: ATOM InFlight must be >= 1, got %d", c.ATOM.InFlight)
+	if c.Proteus.LLTSize%c.Proteus.LLTWays != 0 {
+		return fmt.Errorf("config: LLT size %d not a multiple of its %d ways", c.Proteus.LLTSize, c.Proteus.LLTWays)
 	}
 	return nil
 }

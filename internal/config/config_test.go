@@ -1,8 +1,12 @@
 package config
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/isa"
 )
 
 func TestDefaultMatchesTable1(t *testing.T) {
@@ -83,6 +87,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.Mem.LPQ = 1<<31 - 1 }, // ~200 GB of LPQ entries
 		func(c *Config) { c.Proteus.LogQ = 4096 + 1 },
 		func(c *Config) { c.ATOM.InFlight = 0 },
+		func(c *Config) { c.Cores = isa.MaxThreads + 1 }, // one log window per thread
+		func(c *Config) { c.Core.LoadQ = 0 },
 	}
 	for i, mutate := range bad {
 		c := Default()
@@ -209,4 +215,69 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 	if idxWant := count; idxWant < 30 {
 		t.Fatalf("only %d leaf fields found — reflection walk looks broken", idxWant)
 	}
+}
+
+// TestEveryLeafIsBounded walks every leaf of Config, as
+// TestFingerprintCoversEveryField does, and requires Validate to refuse an
+// absurd value of it by name: -1 and 2^31-1 (2^40 for a cache size) for an
+// integer leaf, 0, -1, NaN and +Inf for a float. NewSystem allocates and
+// ticks at these sizes, and a cluster payload carries the whole Config, so
+// a leaf without a bound lets one payload exhaust a worker. No System is
+// built.
+func TestEveryLeafIsBounded(t *testing.T) {
+	base := Default()
+	if err := base.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	paths, leaves := leafValues(&base)
+	for i, path := range paths {
+		var absurd []any
+		switch v := leaves[i]; v.Kind() {
+		case reflect.Int:
+			huge := int64(1<<31 - 1)
+			if strings.HasSuffix(path, ".SizeBytes") {
+				huge = 1 << 40
+			}
+			absurd = []any{int64(-1), huge}
+		case reflect.Float64:
+			absurd = []any{0.0, -1.0, math.NaN(), math.Inf(1)}
+		default:
+			t.Errorf("%s: %v leaf has no absurd values here; give it a bound and a case", path, v.Kind())
+			continue
+		}
+		leaf := strings.TrimPrefix(path, "Config.")
+		for _, a := range absurd {
+			c := Default()
+			_, vals := leafValues(&c)
+			switch a := a.(type) {
+			case int64:
+				vals[i].SetInt(a)
+			case float64:
+				vals[i].SetFloat(a)
+			}
+			err := c.Validate()
+			if err == nil {
+				t.Errorf("%s = %v accepted", leaf, a)
+			} else if !strings.Contains(err.Error(), leaf) {
+				t.Errorf("%s = %v refused for another leaf: %v", leaf, a, err)
+			}
+		}
+	}
+}
+
+// leafValues returns the leaf fields of *c, depth first, as settable
+// values with their dotted paths.
+func leafValues(c *Config) (paths []string, vals []reflect.Value) {
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		if v.Kind() == reflect.Struct {
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+			return
+		}
+		paths, vals = append(paths, path), append(vals, v)
+	}
+	walk(reflect.ValueOf(c).Elem(), "Config")
+	return paths, vals
 }

@@ -102,6 +102,36 @@ func (c *Config) fill() {
 	c.Sim.Cores = c.Params.Threads
 }
 
+// MaxPoints bounds a tuple's crash points, Sweep plus Rand. The densest
+// sweep in use is 220 points (the minimizer recipe CI runs).
+const MaxPoints = 4096
+
+// Validate reports a campaign whose crash points or workload shape is out
+// of bounds: more than MaxPoints points per tuple, or Params that Build
+// refuses for one of the benchmarks. It builds nothing, so a job server
+// can refuse such a campaign at admission.
+func (c *Config) Validate() error {
+	sweep, rnd := max(c.Sweep, 0), max(c.Rand, 0)
+	if sweep > MaxPoints || rnd > MaxPoints-sweep {
+		return fmt.Errorf("crashcampaign: at most %d crash points per tuple (sweep %d, rand %d)", MaxPoints, c.Sweep, c.Rand)
+	}
+	for _, k := range c.Benches {
+		if err := c.Params.Validate(k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ready normalizes c for a run and checks it can run.
+func (c *Config) ready() error {
+	c.fill()
+	if c.Engine == nil {
+		return fmt.Errorf("crashcampaign: Config.Engine is required")
+	}
+	return c.Validate()
+}
+
 // crashPoints computes the tuple's crash points: Sweep evenly spaced
 // cycles plus Rand seeded-random ones, deduplicated and sorted.
 func crashPoints(total uint64, sweep, rnd int, seed uint64) []uint64 {
@@ -128,9 +158,8 @@ func crashPoints(total uint64, sweep, rnd int, seed uint64) []uint64 {
 
 // Run executes the campaign and assembles its deterministic report.
 func Run(ctx context.Context, c Config) (*Report, error) {
-	c.fill()
-	if c.Engine == nil {
-		return nil, fmt.Errorf("crashcampaign: Config.Engine is required")
+	if err := c.ready(); err != nil {
+		return nil, err
 	}
 
 	type tupleSlot struct {
@@ -200,9 +229,8 @@ func AssembleReport(c Config, tuples []*TupleReport) *Report {
 // normalized here, so a worker can hand a deserialized single-tuple
 // Config straight in; Engine is required.
 func RunTuple(ctx context.Context, c Config, bench workload.Kind, scheme core.Scheme) (*TupleReport, error) {
-	c.fill()
-	if c.Engine == nil {
-		return nil, fmt.Errorf("crashcampaign: Config.Engine is required")
+	if err := c.ready(); err != nil {
+		return nil, err
 	}
 	return runTuple(ctx, &c, bench, scheme)
 }

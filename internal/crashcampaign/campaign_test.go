@@ -28,6 +28,29 @@ func testConfig(workers int) Config {
 	}
 }
 
+// TestValidateBoundsCrashPoints: a campaign may ask for MaxPoints crash
+// points per tuple, swept or random, and no more; Run refuses more before
+// it builds anything.
+func TestValidateBoundsCrashPoints(t *testing.T) {
+	c := testConfig(1)
+	c.Benches = []workload.Kind{workload.Queue}
+	for _, pts := range [][2]int{{MaxPoints, 0}, {MaxPoints - 8, 8}, {0, MaxPoints}, {220, 0}} {
+		c.Sweep, c.Rand = pts[0], pts[1]
+		if err := c.Validate(); err != nil {
+			t.Errorf("sweep %d rand %d: %v", c.Sweep, c.Rand, err)
+		}
+	}
+	for _, pts := range [][2]int{{MaxPoints + 1, 0}, {MaxPoints, 1}, {1 << 62, 1 << 62}} {
+		c.Sweep, c.Rand = pts[0], pts[1]
+		if err := c.Validate(); err == nil {
+			t.Errorf("sweep %d rand %d accepted", c.Sweep, c.Rand)
+		}
+		if _, err := Run(context.Background(), c); err == nil {
+			t.Errorf("Run accepted sweep %d rand %d", c.Sweep, c.Rand)
+		}
+	}
+}
+
 // TestCleanSweepAllVerified: a clean-fault sweep across every failure-safe
 // scheme must verify at every crash point — the baseline the recovery
 // tests already establish, now through the campaign machinery.

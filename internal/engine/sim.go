@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -27,18 +25,10 @@ type SimSpec struct {
 // DefaultSimSpec holds proteus-sim's defaults.
 var DefaultSimSpec = SimSpec{Bench: "QE", Scheme: "Proteus", Mem: "nvm-fast", Threads: 4, Seed: 42, LogQ: 16, LPQ: 256}
 
-// maxSpecOps bounds a spec's per-thread operation counts at Table 2's
-// largest. A workload build does not check its context, so a larger
-// count would outlive every job timeout.
-const maxSpecOps = 100_000
-
 // Job resolves the spec's names and sizes its workload and machine. It
-// rejects operation counts above Table 2's and machines Validate
-// rejects, before anything is built.
+// rejects workloads and machines their Validate rejects, before anything
+// is built.
 func (s SimSpec) Job() (Job, error) {
-	if s.SimOps > maxSpecOps || s.InitOps > maxSpecOps {
-		return Job{}, fmt.Errorf("engine: at most %d simops and initops per thread (got %d, %d)", maxSpecOps, s.SimOps, s.InitOps)
-	}
 	kind, err := workload.KindByName(s.Bench)
 	if err != nil {
 		return Job{}, err
@@ -61,6 +51,9 @@ func (s SimSpec) Job() (Job, error) {
 	}
 	if s.InitOps > 0 {
 		p.InitOps = s.InitOps
+	}
+	if err := p.Validate(kind); err != nil {
+		return Job{}, err
 	}
 	cfg := config.Default().WithMemKind(mem)
 	cfg.Cores = s.Threads

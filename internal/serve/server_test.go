@@ -444,9 +444,9 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestOversizedSpecRefusedAtAdmission: a sim spec whose machine or
-// workload is too large to build is a 400 at admission, so it is never
-// queued. The server's workers are not started: an accepted spec would
+// TestOversizedSpecRefusedAtAdmission: a sim or campaign spec whose
+// machine, workload or crash sweep is too large to run is a 400 at
+// admission, so it is never queued. The server's workers are not started: an accepted spec would
 // wait in the queue instead of allocating.
 func TestOversizedSpecRefusedAtAdmission(t *testing.T) {
 	s, err := New(Config{Engine: engine.New(engine.Config{Workers: 1})})
@@ -460,6 +460,10 @@ func TestOversizedSpecRefusedAtAdmission(t *testing.T) {
 		`{"type":"sim","logq":2147483647}`,
 		`{"type":"sim","initops":1000000000}`,
 		`{"type":"sim","simops":1000000000}`,
+		`{"type":"campaign","initops":1000000000}`,
+		`{"type":"campaign","simops":1000000000}`,
+		`{"type":"campaign","sweep":1000000000}`,
+		`{"type":"campaign","threads":17}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
 		if err != nil {

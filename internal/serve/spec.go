@@ -184,6 +184,9 @@ func compile(s Spec) (*job, error) {
 			Faults: faults,
 			Seed:   cmp.Or(s.CampaignSeed, 1),
 		}
+		if err := j.campaign.Validate(); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("unknown job type %q (want sim, figure, campaign)", s.Type)
 	}

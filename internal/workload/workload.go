@@ -235,15 +235,53 @@ func (a rbAdapter) insert(k uint64) bool { return a.Insert(k, k^0xDEAD) }
 func (a rbAdapter) remove(k uint64) bool { return a.Delete(k) }
 func (a rbAdapter) lookup(k uint64) bool { _, ok := a.Lookup(k); return ok }
 
+// Per-thread size bounds. A build does not check its context, so an
+// operation count above Table 2's largest (100,000) would outlive every
+// job timeout. The StringSwap and linked-list bounds sit well above the
+// largest sizes in use (65,536 strings of 256 bytes; Table 3's 8,192
+// elements in 16 nodes) and keep either structure inside a thread's
+// 256 MiB heap window.
+const (
+	maxOps       = 100_000
+	maxSSItems   = 131_072
+	maxSSStrSize = 1024
+	maxListNodes = 256
+	maxListElems = 65_536
+)
+
+// Validate reports a shape Build refuses: a thread count above the
+// address space's windows, an operation count out of bounds, a bad mix,
+// or out-of-bounds sizes for the structure kind k builds. Build checks
+// it first, and job specs check it at admission, before anything is
+// built.
+func (p Params) Validate(k Kind) error {
+	type bound struct {
+		name      string
+		v, lo, hi int
+	}
+	bounds := []bound{
+		{"threads", p.Threads, 1, isa.MaxThreads},
+		{"initops", p.InitOps, 0, maxOps},
+		{"simops", p.SimOps, 1, maxOps},
+	}
+	switch k {
+	case StringSwap:
+		bounds = append(bounds, bound{"SSItems", p.SSItems, 1, maxSSItems}, bound{"SSStrSize", p.SSStrSize, 8, maxSSStrSize})
+	case LinkedList:
+		bounds = append(bounds, bound{"ListNodes", p.ListNodes, 1, maxListNodes}, bound{"ListElems", p.ListElems, 1, maxListElems})
+	}
+	for _, b := range bounds {
+		if b.v < b.lo || b.v > b.hi {
+			return fmt.Errorf("workload: %s %d outside [%d, %d]", b.name, b.v, b.lo, b.hi)
+		}
+	}
+	_, err := p.Mix.normalized()
+	return err
+}
+
 // Build constructs and records the workload.
 func Build(kind Kind, p Params) (*Workload, error) {
-	if p.Threads < 1 || p.Threads > isa.MaxThreads {
-		return nil, fmt.Errorf("workload: bad thread count %d", p.Threads)
-	}
-	if p.SimOps < 1 {
-		return nil, fmt.Errorf("workload: SimOps must be positive")
-	}
-	if _, err := p.Mix.normalized(); err != nil {
+	if err := p.Validate(kind); err != nil {
 		return nil, err
 	}
 	img := nvm.NewStore()

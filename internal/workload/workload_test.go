@@ -87,6 +87,53 @@ func TestBuildThreadLimit(t *testing.T) {
 	}
 }
 
+// TestParamsValidateBounds: Validate refuses operation counts above
+// Table 2's largest and sizes outside the structure's bounds, for the
+// kind that reads them only, and the largest shapes in use pass. Nothing
+// is built.
+func TestParamsValidateBounds(t *testing.T) {
+	for _, k := range Table2 {
+		p := k.DefaultParams(1)
+		if err := p.Validate(k); err != nil {
+			t.Errorf("%v at Table 2 scale: %v", k, err)
+		}
+		p.InitOps, p.SimOps = 100_000, 100_000
+		if err := p.Validate(k); err != nil {
+			t.Errorf("%v at the operation bounds: %v", k, err)
+		}
+	}
+	ll := LinkedList.DefaultParams(1)
+	ll.ListElems = 8192 // Table 3's largest
+	if err := ll.Validate(LinkedList); err != nil {
+		t.Errorf("Table 3 shape: %v", err)
+	}
+	for name, c := range map[string]struct {
+		kind   Kind
+		mutate func(*Params)
+	}{
+		"initops":   {Queue, func(p *Params) { p.InitOps = 100_001 }},
+		"simops":    {Queue, func(p *Params) { p.SimOps = 1_000_000_000 }},
+		"no simops": {Queue, func(p *Params) { p.SimOps = 0 }},
+		"threads":   {Queue, func(p *Params) { p.Threads = isa.MaxThreads + 1 }},
+		"mix":       {HashMap, func(p *Params) { p.Mix = OpMix{InsertPct: 60} }},
+		"ss items":  {StringSwap, func(p *Params) { p.SSItems = 0 }},
+		"ss size":   {StringSwap, func(p *Params) { p.SSStrSize = 1 << 30 }},
+		"ll nodes":  {LinkedList, func(p *Params) { p.ListNodes = 0 }},
+		"ll elems":  {LinkedList, func(p *Params) { p.ListElems = 1 << 30 }},
+	} {
+		p := c.kind.DefaultParams(1)
+		c.mutate(&p)
+		if err := p.Validate(c.kind); err == nil {
+			t.Errorf("%s: %v accepted %+v", name, c.kind, p)
+		}
+	}
+	// The list sizes are a linked-list concern: a queue ignores them.
+	q := Params{Threads: 1, SimOps: 8, ListElems: 1 << 30}
+	if err := q.Validate(Queue); err != nil {
+		t.Errorf("queue rejected for list sizes it does not read: %v", err)
+	}
+}
+
 func TestDefaultParams(t *testing.T) {
 	for _, k := range Table2 {
 		p := k.DefaultParams(1)

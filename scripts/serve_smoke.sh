@@ -6,8 +6,9 @@
 # and HTTP name the same tuple), assert that an identical resubmission is
 # answered from the cache (no new simulation), scrape /metrics, then
 # SIGTERM the server and assert it drains and exits 0. Before the first
-# job it posts a spec whose LPQ cannot be allocated and asserts a 400
-# with the server still healthy.
+# job it posts a sim spec whose LPQ cannot be allocated and a campaign
+# spec whose builds cannot finish, and asserts a 400 for each with the
+# server still healthy.
 set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18080}"
@@ -41,13 +42,17 @@ done
 curl -fsS "$BASE/healthz" >/dev/null || { say "server never became healthy"; exit 1; }
 say "server healthy on $ADDR"
 
-# A machine Validate refuses (an LPQ of 2^31-1 entries, ~200 GB) is a
-# 400 at admission: it is never queued, so no worker allocates it.
-CODE=$(curl -sS -o "$WORK/oversized.json" -w '%{http_code}' -XPOST "$BASE/v1/jobs" -d '{"type":"sim","lpq":2147483647}')
-[ "$CODE" = 400 ] || { say "oversized spec answered $CODE, want 400: $(cat "$WORK/oversized.json")"; exit 1; }
-HEALTH=$(curl -sS -o /dev/null -w '%{http_code}' "$BASE/healthz")
-[ "$HEALTH" = 200 ] || { say "healthz answered $HEALTH after the oversized spec, want 200"; exit 1; }
-say "oversized spec refused with 400; healthz still 200"
+# A machine Validate refuses (an LPQ of 2^31-1 entries, ~200 GB) and a
+# campaign whose workload builds would outlive every timeout (10^9
+# initialization operations per thread) are each a 400 at admission:
+# neither is queued, so no worker allocates or builds it.
+for OVERSIZED in '{"type":"sim","lpq":2147483647}' '{"type":"campaign","initops":1000000000}'; do
+    CODE=$(curl -sS -o "$WORK/oversized.json" -w '%{http_code}' -XPOST "$BASE/v1/jobs" -d "$OVERSIZED")
+    [ "$CODE" = 400 ] || { say "$OVERSIZED answered $CODE, want 400: $(cat "$WORK/oversized.json")"; exit 1; }
+    HEALTH=$(curl -sS -o /dev/null -w '%{http_code}' "$BASE/healthz")
+    [ "$HEALTH" = 200 ] || { say "healthz answered $HEALTH after $OVERSIZED, want 200"; exit 1; }
+    say "$OVERSIZED refused with 400; healthz still 200"
+done
 
 # Submit asynchronously and poll to completion.
 SUBMIT=$(curl -fsS -XPOST "$BASE/v1/jobs" -d "$SPEC")
