@@ -20,11 +20,12 @@
 //
 //	proteus-recover -bench RT -scheme Proteus -at 0.6
 //	proteus-recover -bench QE -scheme PMEM -at-cycle 4242 -fault torn
-//	proteus-recover -bench HM -scheme ATOM -adr=false
+//	proteus-recover -bench HM -scheme ATOM -fault adrloss
 //	proteus-recover -replay repro/rt-proteus-clean-c4265
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -48,7 +49,6 @@ func main() {
 		schemeName = flag.String("scheme", "Proteus", "failure-safe scheme: PMEM, PMEM+pcommit, ATOM, Proteus, Proteus+NoLWR")
 		at         = flag.Float64("at", 0.5, "crash point as a fraction of the full run")
 		atCycle    = flag.Int64("at-cycle", -1, "crash at this exact cycle (overrides -at)")
-		adr        = flag.Bool("adr", true, "queues are in the persistency domain; -adr=false injects ADR loss")
 		faultName  = flag.String("fault", "", "fault model at the crash: torn, adrloss, corrupt (default clean)")
 		faultSeed  = flag.Uint64("fault-seed", 0, "per-line fault randomness seed (0 derives one from the workload seed)")
 		faultMask  = flag.String("fault-mask", "", "comma-separated target indexes the fault is limited to (default all)")
@@ -74,15 +74,8 @@ func main() {
 	if !scheme.FailureSafe() {
 		exitOn(fmt.Errorf("scheme %q is not a failure-safe scheme", *schemeName))
 	}
-	name := *faultName
-	if name == "" {
-		name = "clean"
-		if !*adr {
-			name = "adrloss"
-		}
-	}
 	var fault crashcampaign.Fault
-	exitOn(fault.UnmarshalText([]byte(name)))
+	exitOn(fault.UnmarshalText([]byte(cmp.Or(*faultName, "clean"))))
 	mask, err := parseMask(*faultMask)
 	exitOn(err)
 
