@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/isa"
@@ -364,7 +363,8 @@ func BenchmarkNewSystemLitmus(b *testing.B) {
 // under the scheme and steps it past warm-up, so every ring, pool, queue
 // and stats buffer has hit its high-water mark before measurement begins.
 // A streamed machine's cores generate their ops as they go, the way
-// engine jobs run; otherwise they read traces generated up front.
+// every simulated machine runs; otherwise they read traces generated up
+// front.
 func steadySystem(tb testing.TB, scheme core.Scheme, streamed bool) *core.System {
 	tb.Helper()
 	p := workload.Queue.DefaultParams(1)
@@ -377,15 +377,7 @@ func steadySystem(tb testing.TB, scheme core.Scheme, streamed bool) *core.System
 	cfg.Cores = p.Threads
 	var sys *core.System
 	if streamed {
-		streams, err := logging.NewStreams(w, scheme, cfg, logging.Options{})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		srcs := make([]cpu.Source, len(streams))
-		for i, s := range streams {
-			srcs[i] = s
-		}
-		sys, err = core.NewStreamedSystem(cfg, scheme, srcs, w.InitImage)
+		sys, _, err = logging.NewSystem(w, scheme, cfg, logging.Options{})
 		if err != nil {
 			tb.Fatal(err)
 		}

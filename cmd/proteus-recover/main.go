@@ -4,10 +4,15 @@
 // By default it runs a workload under a failure-safe scheme, cuts power
 // at a chosen point — optionally through a fault model (torn line writes,
 // ADR loss, log corruption) — extracts the persistent image, runs
-// recovery, and verifies transaction atomicity against the oracle. On an
-// oracle failure it prints a per-thread mismatch summary and exits
-// nonzero. A detected (and reported) log corruption exits zero: refusing
-// a damaged log is the correct recovery outcome.
+// recovery, and judges the result exactly as a proteus-crash campaign
+// judges the same injection: the fault pattern derives from -seed as the
+// campaign's does from its seed, and the outcome is one of the campaign's
+// classes (verified, detected, vulnerable, failed). It prints the class,
+// its detail and, unless the outcome is detected, each thread's match
+// against the oracle's transaction prefixes. It exits nonzero only on a
+// failed outcome: a detected corruption (refusing a damaged log) and a
+// vulnerable one (a fault outside the scheme's guarantees) are the
+// scheme behaving as specified.
 //
 // With -replay it takes a reproducer directory written by proteus-crash
 // or proteus-litmus (-artifacts), rebuilds its target (a benchmark or a
@@ -37,7 +42,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/crashcampaign"
 	"repro/internal/litmus"
-	"repro/internal/nvm"
 	"repro/internal/recovery"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -50,11 +54,11 @@ func main() {
 		at         = flag.Float64("at", 0.5, "crash point as a fraction of the full run")
 		atCycle    = flag.Int64("at-cycle", -1, "crash at this exact cycle (overrides -at)")
 		faultName  = flag.String("fault", "", "fault model at the crash: torn, adrloss, corrupt (default clean)")
-		faultSeed  = flag.Uint64("fault-seed", 0, "per-line fault randomness seed (0 derives one from the workload seed)")
+		faultSeed  = flag.Uint64("fault-seed", 0, "per-line fault randomness seed (0 derives the campaign's injection seed from -seed)")
 		faultMask  = flag.String("fault-mask", "", "comma-separated target indexes the fault is limited to (default all)")
 		threads    = flag.Int("threads", 2, "worker threads / cores")
 		simOps     = flag.Int("simops", 64, "timed operations per thread")
-		seed       = flag.Int64("seed", 42, "workload seed")
+		seed       = flag.Int64("seed", 42, "workload and campaign seed")
 		replayDir  = flag.String("replay", "", "replay a reproducer directory (overrides every other flag); exit 0 reproduced, 2 not reproduced")
 		traceOut   = flag.String("trace", "", "write an epoch-sampled JSONL trace of the full (pre-crash) run to this file")
 		traceEpoch = flag.Uint64("trace-epoch", trace.DefaultEpoch, "cycles between trace samples")
@@ -85,48 +89,106 @@ func main() {
 	p.InitOps /= 10
 	p.Seed = *seed
 
-	fmt.Printf("building %v (%d threads, %d txns each)...\n", kind, p.Threads, p.SimOps)
-	tgt, wl, err := benchTarget(kind, scheme, p)
+	code, err := crashRun{kind: kind, scheme: scheme, params: p, fault: fault, at: *at, atCycle: *atCycle,
+		faultSeed: *faultSeed, mask: mask, traceOut: *traceOut, traceEpoch: *traceEpoch}.run(os.Stdout)
 	exitOn(err)
+	os.Exit(code)
+}
+
+// crashRun is one manual crash: the benchmark and its shape, the scheme,
+// and where and through which fault power is cut.
+type crashRun struct {
+	kind       workload.Kind
+	scheme     core.Scheme
+	params     workload.Params
+	fault      crashcampaign.Fault
+	at         float64 // crash point as a fraction of the full run
+	atCycle    int64   // overrides at when not negative
+	faultSeed  uint64  // overrides the injection seed when nonzero
+	mask       []int
+	traceOut   string
+	traceEpoch uint64
+}
+
+// run performs the crash, reports on w and returns the process exit
+// code: 1 on a failed outcome, else 0.
+func (r crashRun) run(w io.Writer) (int, error) {
+	fmt.Fprintf(w, "building %v (%d threads, %d txns each)...\n", r.kind, r.params.Threads, r.params.SimOps)
+	tgt, wl, err := benchTarget(r.kind, r.scheme, r.params)
+	if err != nil {
+		return 1, err
+	}
+	tgt.Seed = r.params.Seed
 
 	// Learn the full run length. The optional trace records this run, so
 	// the timeline shows the queue state around any candidate crash point.
-	full, err := tgt.NewSystem()
-	exitOn(err)
 	var tr *trace.Tracer
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		exitOn(err)
-		meta := trace.Meta{Label: fmt.Sprintf("%v/%v/recover", kind, scheme), Fingerprint: tgt.Sim.Fingerprint(), Cores: tgt.Sim.Cores}
-		tr, err = trace.NewJSONLTracer(f, meta, *traceEpoch)
-		exitOn(err)
-		full.SetTracer(tr)
+	if r.traceOut != "" {
+		f, err := os.Create(r.traceOut)
+		if err != nil {
+			return 1, err
+		}
+		defer f.Close() // for the error paths; tr.Close closes it
+		meta := trace.Meta{Label: fmt.Sprintf("%v/%v/recover", r.kind, r.scheme), Fingerprint: tgt.Sim.Fingerprint(), Cores: tgt.Sim.Cores}
+		if tr, err = trace.NewJSONLTracer(f, meta, r.traceEpoch); err != nil {
+			return 1, err
+		}
 	}
+	full, err := tgt.NewSystem()
+	if err != nil {
+		return 1, err
+	}
+	full.SetTracer(tr) // nil leaves tracing off
 	_, err = full.Run(0)
-	exitOn(err)
-	if tr != nil {
-		exitOn(tr.Close())
-	}
 	total := full.Cycle()
 	full.Release()
-	crashAt := uint64(float64(total) * *at)
-	if *atCycle >= 0 {
-		crashAt = uint64(*atCycle)
+	if err != nil {
+		return 1, err
 	}
-	fseed := *faultSeed
-	if fseed == 0 {
-		fseed = uint64(*seed)*0x9E3779B9 + crashAt
+	if tr != nil {
+		if err := tr.Close(); err != nil {
+			return 1, err
+		}
 	}
-	fmt.Printf("full run: %d cycles; cutting power at cycle %d (fault %s)\n", total, crashAt, fault)
+	crashAt := uint64(float64(total) * r.at)
+	if r.atCycle >= 0 {
+		crashAt = uint64(r.atCycle)
+	}
+	inj := tgt.Injection(r.fault, crashAt)
+	inj.Mask = r.mask
+	if r.faultSeed != 0 {
+		inj.Seed = r.faultSeed
+	}
+	fmt.Fprintf(w, "full run: %d cycles; cutting power at cycle %d (fault %s)\n", total, crashAt, r.fault)
 
 	sys, err := tgt.SystemAt(crashAt)
-	exitOn(err)
-	inj := crashcampaign.Injection{Fault: fault, Cycle: crashAt, Seed: fseed, Mask: mask}
-	img := inj.Apply(sys, p.Threads)
+	if err != nil {
+		return 1, err
+	}
+	defer sys.Release()
+	img := inj.Apply(sys, tgt.Sim.Cores)
 	committed := sys.CommittedCounts()
-	sys.Release()
-	fmt.Printf("at crash: committed transactions per thread: %v\n", committed)
-	os.Exit(recoverAndVerify(img, committed, scheme, recovery.NewOracle(wl)))
+	fmt.Fprintf(w, "at crash: committed transactions per thread: %v\n", committed)
+
+	out, detail := tgt.Classify(img, r.fault, committed)
+	fmt.Fprintf(w, "outcome   %s\n", out)
+	if detail != "" {
+		fmt.Fprintf(w, "detail    %s\n", detail)
+	}
+	if out != crashcampaign.OutcomeDetected {
+		sw := r.scheme == core.PMEM || r.scheme == core.PMEMPcommit
+		for _, st := range recovery.NewOracle(wl).Report(img, committed, sw) {
+			if st.OK() {
+				fmt.Fprintf(w, "thread %d: ok (matched prefix %d of %d committed)\n", st.Thread, st.Matched, st.Committed)
+			} else {
+				fmt.Fprintf(w, "thread %d: MISMATCH (committed %d): %s\n", st.Thread, st.Committed, st.Mismatch)
+			}
+		}
+	}
+	if out == crashcampaign.OutcomeFailed {
+		return 1, nil
+	}
+	return 0, nil
 }
 
 // benchTarget builds the benchmark and binds it to the scheme on the
@@ -138,8 +200,7 @@ func benchTarget(kind workload.Kind, scheme core.Scheme, p workload.Params) (*cr
 	}
 	sim := config.Default()
 	sim.Cores = p.Threads
-	tgt, err := crashcampaign.NewTarget(kind.Abbrev(), scheme, sim, wl, crashcampaign.OracleExpectation(wl, scheme))
-	return tgt, wl, err
+	return crashcampaign.NewTarget(kind.Abbrev(), scheme, sim, wl, crashcampaign.OracleExpectation(wl, scheme)), wl, nil
 }
 
 // artifactTarget rebuilds the target an artifact's meta names: a
@@ -158,7 +219,7 @@ func artifactTarget(m *crashcampaign.ArtifactMeta) (*crashcampaign.Target, error
 	if err != nil {
 		return nil, err
 	}
-	return compiled.Target(m.Scheme)
+	return compiled.Target(m.Scheme), nil
 }
 
 // replay replays the reproducer in dir, reports on w, and returns the
@@ -197,53 +258,6 @@ func replay(w io.Writer, dir string) (int, error) {
 	}
 	fmt.Fprintln(w, "reproduced")
 	return 0, nil
-}
-
-// recoverAndVerify runs recovery and the oracle over a crash image and
-// reports the outcome with a per-thread summary; the return value is the
-// process exit code.
-func recoverAndVerify(img *nvm.Store, committed []int, scheme core.Scheme, oracle *recovery.Oracle) int {
-	rec, err := recovery.Recover(img, scheme, len(committed))
-	if err != nil {
-		if recovery.IsDetectedCorruption(err) {
-			fmt.Printf("DETECTED: recovery refused the image: %v\n", err)
-			fmt.Println("(refusing a damaged log is the correct outcome; nothing was silently applied)")
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "proteus-recover: recovery error:", err)
-		return 1
-	}
-	for t, rb := range rec.RolledBack {
-		if len(rb) > 0 {
-			fmt.Printf("recovery: thread %d rolled back transaction(s) %v\n", t, rb)
-		}
-	}
-	fmt.Printf("recovery applied %d undo entries\n", rec.EntriesApplied)
-
-	statuses := oracle.Report(img, committed, scheme == core.PMEM || scheme == core.PMEMPcommit)
-	bad := 0
-	for _, st := range statuses {
-		if !st.OK() {
-			bad++
-		}
-	}
-	if bad == 0 {
-		matched := make([]int, len(statuses))
-		for i, st := range statuses {
-			matched[i] = st.Matched
-		}
-		fmt.Printf("VERIFIED: recovered state matches transaction prefixes %v — every transaction atomic, no committed transaction lost\n", matched)
-		return 0
-	}
-	fmt.Printf("FAILED: %d of %d threads do not match any transaction prefix:\n", bad, len(statuses))
-	for _, st := range statuses {
-		if st.OK() {
-			fmt.Printf("  thread %d: ok (matched prefix %d of %d committed)\n", st.Thread, st.Matched, st.Committed)
-		} else {
-			fmt.Printf("  thread %d: MISMATCH (committed %d): %s\n", st.Thread, st.Committed, st.Mismatch)
-		}
-	}
-	return 1
 }
 
 func parseMask(s string) ([]int, error) {

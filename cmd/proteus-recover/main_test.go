@@ -63,10 +63,7 @@ func TestReplayExitCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt, err := compiled.Target(core.ATOM)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tgt := compiled.Target(core.ATOM)
 	meta, err := tgt.WriteArtifact(root, tgt.Injection(crashcampaign.FaultCorrupt, 600), 600)
 	if err != nil {
 		t.Fatal(err)
@@ -86,5 +83,46 @@ func TestReplayExitCodes(t *testing.T) {
 	}
 	if code, err := replay(io.Discard, defect); err != nil || code != 2 {
 		t.Fatalf("replay of a flipped image: exit %d, %v; want 2", code, err)
+	}
+}
+
+// TestManualCrashJudgedAsCampaign: a manual crash derives its fault
+// pattern from -seed and takes its verdict from the campaign's
+// classifier, so a torn PMEM crash the campaign calls vulnerable (a fault
+// outside PMEM's guarantees) prints that class and exits 0.
+func TestManualCrashJudgedAsCampaign(t *testing.T) {
+	// proteus-recover -bench QE -scheme PMEM -fault torn, at its default
+	// shape: 2 threads, 64 timed operations, a tenth of the init ops.
+	p := workload.Queue.DefaultParams(1)
+	p.Threads, p.SimOps, p.InitOps, p.Seed = 2, 64, p.InitOps/10, 42
+	tup, err := crashcampaign.RunTuple(context.Background(), crashcampaign.Config{
+		Params: p,
+		Sim:    config.Default(),
+		Sweep:  32,
+		Faults: []crashcampaign.Fault{crashcampaign.FaultTorn},
+		Seed:   p.Seed,
+		Engine: engine.New(engine.Config{Workers: 1}),
+	}, workload.Queue, core.PMEM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vuln *crashcampaign.InjectionResult
+	for i, r := range tup.Injections {
+		if r.Fault == "torn" && r.Outcome == crashcampaign.OutcomeVulnerable {
+			vuln = &tup.Injections[i]
+			break
+		}
+	}
+	if vuln == nil {
+		t.Fatal("the campaign classified no torn PMEM crash as vulnerable")
+	}
+	var out strings.Builder
+	code, err := crashRun{kind: workload.Queue, scheme: core.PMEM, params: p, fault: crashcampaign.FaultTorn,
+		atCycle: int64(vuln.Cycle)}.run(&out)
+	if err != nil || code != 0 {
+		t.Fatalf("torn PMEM crash at cycle %d: exit %d, %v; want 0\n%s", vuln.Cycle, code, err, &out)
+	}
+	if !strings.Contains(out.String(), "outcome   vulnerable\ndetail    "+vuln.Detail+"\n") {
+		t.Fatalf("torn PMEM crash at cycle %d does not report the campaign's verdict (vulnerable: %s):\n%s", vuln.Cycle, vuln.Detail, &out)
 	}
 }

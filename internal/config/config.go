@@ -268,8 +268,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("config: %s geometry invalid (%d bytes, %d ways)", cc.name, cc.c.SizeBytes, cc.c.Ways)
 		}
 	}
-	if c.Proteus.LLTSize%c.Proteus.LLTWays != 0 {
-		return fmt.Errorf("config: LLT size %d not a multiple of its %d ways", c.Proteus.LLTSize, c.Proteus.LLTWays)
+	// The LLT indexes its sets by mask, as the caches do.
+	if sets := c.Proteus.LLTSize / c.Proteus.LLTWays; c.Proteus.LLTSize%c.Proteus.LLTWays != 0 || sets&(sets-1) != 0 {
+		return fmt.Errorf("config: LLT geometry invalid (%d entries, %d ways)", c.Proteus.LLTSize, c.Proteus.LLTWays)
 	}
 	return nil
 }

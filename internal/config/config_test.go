@@ -79,6 +79,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.Mem.Banks = 0 },
 		func(c *Config) { c.Proteus.LogQ = 0 },
 		func(c *Config) { c.Proteus.LLTSize = 63 }, // not divisible by ways
+		func(c *Config) { c.Proteus.LLTSize = 48 }, // 6 sets: a set mask reaches 4 of them
 		func(c *Config) { c.Mem.WPQ = 0 },
 		func(c *Config) { c.Mem.DrainHi = -1 },
 		func(c *Config) { c.Mem.DrainHi = c.Mem.WPQ + 1 },

@@ -200,8 +200,8 @@ func NewSystem(cfg config.Config, scheme Scheme, traces []*isa.Trace, initImage 
 
 // NewStreamedSystem is NewSystem with each core fetching from an op
 // source that generates its ops as the core dispatches them, so the run
-// never holds a whole trace. A source feeds one run: a System that must be
-// rebuilt from cycle 0 needs materialized traces.
+// never holds a whole trace. A source feeds one run: a System rebuilt from
+// cycle 0 takes fresh sources (logging.NewSystem builds both).
 func NewStreamedSystem(cfg config.Config, scheme Scheme, srcs []cpu.Source, initImage *nvm.Store) (*System, error) {
 	return newSystem(cfg, scheme, len(srcs), func(i int) cpu.Source { return srcs[i] }, initImage)
 }

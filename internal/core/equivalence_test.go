@@ -38,20 +38,12 @@ func runWith(t testing.TB, cfg config.Config, scheme core.Scheme, traces []*isa.
 	return observeRun(t, sys, cfg, st, epoch, maxCycles)
 }
 
-// runStreamed is runWith with every core fed by a stream of the generator
-// GenerateOpts drains, as engine jobs run. It also returns the streams,
-// exhausted once the run finished.
+// runStreamed is runWith with every core fed by a stream (the streams
+// GenerateOpts drains), built as every simulated machine is. It also
+// returns the streams, exhausted once the run finished.
 func runStreamed(t testing.TB, cfg config.Config, scheme core.Scheme, opts logging.Options, w *workload.Workload, st core.Stepper, epoch, maxCycles uint64) (*pairResult, []*logging.Stream, error) {
 	t.Helper()
-	streams, err := logging.NewStreams(w, scheme, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcs := make([]cpu.Source, len(streams))
-	for i, s := range streams {
-		srcs[i] = s
-	}
-	sys, err := core.NewStreamedSystem(cfg, scheme, srcs, w.InitImage)
+	sys, streams, err := logging.NewSystem(w, scheme, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,13 +263,9 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 	results := make([]InjectionResult, len(points)*len(faults))
 	var tgt *Target
 	err = eng.Do(ctx, func(ctx context.Context) error {
-		// Built inside the slot, so at most Workers targets (traces plus
-		// oracle) are alive at once.
-		var err error
-		tgt, err = NewTarget(bench.Abbrev(), scheme, c.Sim, wl, OracleExpectation(wl, scheme))
-		if err != nil {
-			return err
-		}
+		// Built inside the slot, so at most Workers oracles (and sweeping
+		// machines) are alive at once.
+		tgt = NewTarget(bench.Abbrev(), scheme, c.Sim, wl, OracleExpectation(wl, scheme))
 		tgt.Seed, tgt.Stepper = c.Seed, eng.Stepper()
 		return tgt.sweep(ctx, points, faults, func(i int, inj Injection, img *nvm.Store, committed []int) {
 			out, detail := tgt.Classify(img, inj.Fault, committed)

@@ -28,6 +28,31 @@ func testConfig(workers int) Config {
 	}
 }
 
+// targetSink keeps NewTarget's result on the heap in
+// TestNewTargetGeneratesNothing.
+var targetSink *Target
+
+// TestNewTargetGeneratesNothing pins lazy generation: binding a Table 2
+// workload to a scheme allocates the Target and nothing else, because
+// every machine the Target builds streams its micro-ops afresh.
+func TestNewTargetGeneratesNothing(t *testing.T) {
+	c := testConfig(1)
+	c.Normalize()
+	for _, kind := range workload.Table2 {
+		wl, err := workload.Build(kind, c.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expect := OracleExpectation(wl, core.Proteus)
+		allocs := testing.AllocsPerRun(10, func() {
+			targetSink = NewTarget(kind.Abbrev(), core.Proteus, c.Sim, wl, expect)
+		})
+		if allocs != 1 {
+			t.Errorf("%v: NewTarget allocates %.0f times, want 1 (the Target)", kind, allocs)
+		}
+	}
+}
+
 // TestValidateBoundsCrashPoints: a campaign may ask for MaxPoints crash
 // points per tuple, swept or random, and no more; Run refuses more before
 // it builds anything.
@@ -218,10 +243,7 @@ func TestMinimizerProducesReproducer(t *testing.T) {
 	}
 	sim := config.Default()
 	sim.Cores = a.Meta.Params.Threads
-	tgt, err := NewTarget(a.Meta.Source, scheme, sim, wl, OracleExpectation(wl, scheme))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tgt := NewTarget(a.Meta.Source, scheme, sim, wl, OracleExpectation(wl, scheme))
 	res, err := tgt.Replay(a)
 	if err != nil {
 		t.Fatal(err)

@@ -43,10 +43,7 @@ func TestForwardPassMatchesFromScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tgt, err := NewTarget(tu.Bench, scheme, c.Sim, wl, OracleExpectation(wl, scheme))
-		if err != nil {
-			t.Fatal(err)
-		}
+		tgt := NewTarget(tu.Bench, scheme, c.Sim, wl, OracleExpectation(wl, scheme))
 		tgt.Seed = c.Seed
 		var faults []Fault
 		for _, f := range c.Faults {
@@ -112,10 +109,7 @@ func targetFor(t *testing.T, kind workload.Kind, scheme core.Scheme) *fuzzTarget
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt, err := NewTarget(kind.Abbrev(), scheme, c.Sim, wl, OracleExpectation(wl, scheme))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tgt := NewTarget(kind.Abbrev(), scheme, c.Sim, wl, OracleExpectation(wl, scheme))
 	sys, err := tgt.NewSystem()
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/logging"
 	"repro/internal/nvm"
 	"repro/internal/recovery"
@@ -56,26 +55,21 @@ type Target struct {
 	Stepper core.Stepper
 
 	expect Expectation
-	traces []*isa.Trace
-	init   *nvm.Store
+	wl     *workload.Workload
 }
 
-// NewTarget binds a recorded workload to the scheme by generating the
-// scheme's traces for sim, whose Cores must be the workload's thread
-// count.
-func NewTarget(source string, scheme core.Scheme, sim config.Config, wl *workload.Workload, expect Expectation) (*Target, error) {
-	traces, err := logging.Generate(wl, scheme, sim)
-	if err != nil {
-		return nil, err
-	}
-	return &Target{Source: source, Scheme: scheme, Params: wl.Params, Sim: sim,
-		expect: expect, traces: traces, init: wl.InitImage}, nil
+// NewTarget binds a recorded workload to the scheme on sim, whose Cores
+// must be the workload's thread count. It generates nothing: every
+// machine the Target builds streams its micro-ops afresh from the
+// workload.
+func NewTarget(source string, scheme core.Scheme, sim config.Config, wl *workload.Workload, expect Expectation) *Target {
+	return &Target{Source: source, Scheme: scheme, Params: wl.Params, Sim: sim, expect: expect, wl: wl}
 }
 
 // NewSystem builds a fresh machine running the program at cycle 0. The
 // caller must Release it.
 func (t *Target) NewSystem() (*core.System, error) {
-	sys, err := core.NewSystem(t.Sim, t.Scheme, t.traces, t.init)
+	sys, _, err := logging.NewSystem(t.wl, t.Scheme, t.Sim, logging.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/logging"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -461,19 +460,11 @@ func (e *Engine) acquire(ctx context.Context, k wlKey) (ent *wlEntry, claimed bo
 	}
 }
 
-// simulate1 runs the machine under an already-bounded context. A job runs
-// once, so its cores stream their ops: each transaction is generated when
-// its core reaches it, and no whole trace is ever held.
+// simulate1 runs the machine under an already-bounded context. Its cores
+// stream their ops (logging.NewSystem), as every simulated machine's do,
+// and the finished streams supply the emitted log-flush count.
 func (e *Engine) simulate1(ctx context.Context, j Job, w *workload.Workload) (*Result, error) {
-	streams, err := logging.NewStreams(w, j.Scheme, j.Config, j.Log)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %v: %w", j, err)
-	}
-	srcs := make([]cpu.Source, len(streams))
-	for i, s := range streams {
-		srcs[i] = s
-	}
-	sys, err := core.NewStreamedSystem(j.Config, j.Scheme, srcs, w.InitImage)
+	sys, streams, err := logging.NewSystem(w, j.Scheme, j.Config, j.Log)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %v: %w", j, err)
 	}

@@ -52,6 +52,18 @@ func Quick() Options {
 	return Options{Threads: 2, SimScale: 400, InitScale: 25, Seed: 42}
 }
 
+// Validate reports options whose Table 2 rows Build would refuse (a
+// thread count outside [1, isa.MaxThreads], say). It builds nothing, so a
+// job server can refuse such a figure at admission.
+func (o Options) Validate() error {
+	for _, k := range workload.Table2 {
+		if err := o.params(k).Validate(k); err != nil {
+			return fmt.Errorf("experiments: %v: %w", k, err)
+		}
+	}
+	return nil
+}
+
 func (o Options) params(k workload.Kind) workload.Params {
 	p := k.DefaultParams(1)
 	p.Threads = o.Threads

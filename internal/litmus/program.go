@@ -194,8 +194,8 @@ type Compiled struct {
 // a fresh image (unrecorded), then each transaction is recorded through
 // the heap exactly as the macro-benchmarks record theirs — Begin with the
 // thread's private lock, an undo hint covering every line the transaction
-// writes, the stores, End. The recorded workload feeds logging.Generate
-// unchanged.
+// writes, the stores, End. The recorded workload feeds the micro-op
+// generator (package logging) unchanged.
 func (p Program) Compile() (*Compiled, error) {
 	if len(p.Threads) == 0 {
 		return nil, fmt.Errorf("litmus: program %q has no threads", p.Name())
@@ -245,7 +245,7 @@ func (p Program) Compile() (*Compiled, error) {
 // Target binds the compiled program to the scheme on the litmus machine
 // (SimConfig), judged by the scheme's ordering axioms: the crash-campaign
 // Target the sweep classifies, minimizes and replays through.
-func (c *Compiled) Target(scheme core.Scheme) (*crashcampaign.Target, error) {
+func (c *Compiled) Target(scheme core.Scheme) *crashcampaign.Target {
 	return crashcampaign.NewTarget(c.Prog.Name(), scheme, SimConfig(len(c.Prog.Threads)), c.WL,
 		newChecker(c, scheme).permitted)
 }

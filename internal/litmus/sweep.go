@@ -151,10 +151,7 @@ func runCase(ctx context.Context, c *Config, prog Program, scheme core.Scheme) (
 	if err != nil {
 		return cr, err
 	}
-	tgt, err := compiled.Target(scheme)
-	if err != nil {
-		return cr, err
-	}
+	tgt := compiled.Target(scheme)
 	tgt.Seed, tgt.Stepper = c.Seed, c.Stepper
 	sys, err := tgt.NewSystem()
 	if err != nil {

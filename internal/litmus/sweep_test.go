@@ -111,10 +111,7 @@ func TestArtifactReplayRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt, err := compiled.Target(core.Proteus)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tgt := compiled.Target(core.Proteus)
 	tgt.Seed = 7
 	sys, err := tgt.NewSystem()
 	if err != nil {
@@ -146,10 +143,7 @@ func TestArtifactReplayRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := rc.Target(core.Proteus)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := rc.Target(core.Proteus)
 	res, err := rebuilt.Replay(a)
 	if err != nil {
 		t.Fatal(err)

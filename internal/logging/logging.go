@@ -13,7 +13,6 @@ package logging
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -32,12 +31,9 @@ func Generate(w *workload.Workload, scheme core.Scheme, cfg config.Config) ([]*i
 }
 
 // gen carries per-thread generation state. It emits one transaction at a
-// time, into the reused window of a Stream (win) or the staging chunks of
-// a drain (buf).
+// time, into the reused window of a Stream.
 type gen struct {
-	stream  bool
 	win     []isa.Op
-	buf     opBuf
 	alu     uint64
 	aluTxn  uint64
 	scheme  core.Scheme
@@ -89,17 +85,9 @@ func (g *gen) txn(t *heap.Txn) {
 	}
 }
 
-// drain generates the heap's whole trace.
-func (g *gen) drain(h *heap.Heap) *isa.Trace {
-	for _, t := range h.Txns {
-		g.txn(t)
-	}
-	return &isa.Trace{Ops: g.buf.finish()}
-}
-
 // Stream generates one thread's micro-ops a transaction at a time into a
-// reused window: the op source (cpu.Source) of a core in a streamed run.
-// Draining the same generator whole is what GenerateOpts returns.
+// reused window: the op source (cpu.Source) of a core. GenerateOpts
+// drains streams whole into traces.
 type Stream struct {
 	g    gen
 	txns []*heap.Txn
@@ -128,61 +116,6 @@ func (s *Stream) Txns() int { return len(s.txns) }
 // drained trace's Summarize().LogFlushes.
 func (s *Stream) LogFlushes() uint64 { return s.g.flushes }
 
-// chunkOps is the capacity of one staging chunk (6 KB of ops).
-const chunkOps = 256
-
-// chunkPool recycles staging chunks across generations, so building a
-// trace allocates its final slice and nothing that grows.
-var chunkPool = sync.Pool{New: func() any { return new([chunkOps]isa.Op) }}
-
-// opBuf stages a trace's ops in fixed-size chunks. Growing one slice by
-// append copies the trace again at every regrowth (about five times its
-// final size for a long trace); chunks are filled once and copied once,
-// into a slice allocated at the trace's exact length.
-type opBuf struct {
-	full []*[chunkOps]isa.Op
-	cur  *[chunkOps]isa.Op
-	n    int // ops staged in cur
-}
-
-func (b *opBuf) add(o isa.Op) {
-	if b.cur == nil || b.n == chunkOps {
-		if b.cur != nil {
-			b.full = append(b.full, b.cur)
-		}
-		b.cur = chunkPool.Get().(*[chunkOps]isa.Op)
-		b.n = 0
-	}
-	b.cur[b.n] = o
-	b.n++
-}
-
-// finish returns the staged ops in one exactly sized slice (nil when
-// there are none) and releases the chunks.
-func (b *opBuf) finish() []isa.Op {
-	defer b.release()
-	total := len(b.full)*chunkOps + b.n
-	if total == 0 {
-		return nil
-	}
-	ops := make([]isa.Op, 0, total)
-	for _, c := range b.full {
-		ops = append(ops, c[:]...)
-	}
-	return append(ops, b.cur[:b.n]...)
-}
-
-// release returns the chunks to the pool.
-func (b *opBuf) release() {
-	for _, c := range b.full {
-		chunkPool.Put(c)
-	}
-	if b.cur != nil {
-		chunkPool.Put(b.cur)
-	}
-	*b = opBuf{}
-}
-
 // preWord returns the committed (pre-transaction) value of a word.
 func (g *gen) preWord(addr uint64) uint64 {
 	if v, ok := g.overlay[addr]; ok {
@@ -201,13 +134,7 @@ func preWordIn(t *heap.Txn, g *gen, addr uint64) uint64 {
 	return g.preWord(addr)
 }
 
-func (g *gen) op(o isa.Op) {
-	if g.stream {
-		g.win = append(g.win, o)
-		return
-	}
-	g.buf.add(o)
-}
+func (g *gen) op(o isa.Op) { g.win = append(g.win, o) }
 
 func (g *gen) aluPad() {
 	if g.alu > 0 {

@@ -292,7 +292,7 @@ func TestStreamMatchesDrain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			streams, err := NewStreams(w, s, cfg, opts)
+			streams, err := newStreams(w, s, cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

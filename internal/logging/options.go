@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/workload"
 )
@@ -49,33 +50,55 @@ type Options struct {
 }
 
 // GenerateOpts is Generate with explicit options. It drains each
-// thread's generator into a materialized trace, for callers that replay
-// or inspect whole traces; a one-shot run streams instead (NewStreams).
+// thread's stream into a materialized trace, for callers that inspect or
+// replay whole traces; a simulated machine streams instead (NewSystem).
 func GenerateOpts(w *workload.Workload, scheme core.Scheme, cfg config.Config, opts Options) ([]*isa.Trace, error) {
-	if err := checkScheme(scheme); err != nil {
+	streams, err := newStreams(w, scheme, cfg, opts)
+	if err != nil {
 		return nil, err
 	}
-	traces := make([]*isa.Trace, len(w.Heaps))
-	for t, h := range w.Heaps {
-		g := newGen(h, scheme, cfg, w.InitImage, opts)
-		traces[t] = g.drain(h)
+	traces := make([]*isa.Trace, len(streams))
+	for t, s := range streams {
+		var ops []isa.Op
+		for win := s.Window(0); win != nil; win = s.Window(len(ops)) {
+			ops = append(ops, win...)
+		}
+		traces[t] = &isa.Trace{Ops: ops}
 	}
 	return traces, nil
 }
 
-// NewStreams returns one Stream per thread of the workload: the op
-// sources of a streamed run (core.NewStreamedSystem), which generates
-// each transaction as its core reaches it. Each stream's ops equal
-// GenerateOpts's trace for that thread.
-func NewStreams(w *workload.Workload, scheme core.Scheme, cfg config.Config, opts Options) ([]*Stream, error) {
+// newStreams returns one Stream per thread of the workload, each
+// generating a transaction as its core reaches it.
+func newStreams(w *workload.Workload, scheme core.Scheme, cfg config.Config, opts Options) ([]*Stream, error) {
 	if err := checkScheme(scheme); err != nil {
 		return nil, err
 	}
 	streams := make([]*Stream, len(w.Heaps))
 	for t, h := range w.Heaps {
-		s := &Stream{g: newGen(h, scheme, cfg, w.InitImage, opts), txns: h.Txns}
-		s.g.stream = true
-		streams[t] = s
+		streams[t] = &Stream{g: newGen(h, scheme, cfg, w.InitImage, opts), txns: h.Txns}
 	}
 	return streams, nil
+}
+
+// NewSystem builds a machine for the scheme at cycle 0 whose cores fetch
+// from fresh streams of the workload. Streams are read once, so a machine
+// rebuilt from cycle 0 is another call; generation only reads the
+// workload, so concurrent calls share nothing mutable. The streams are
+// returned for their counts (Stream.LogFlushes) once the run is over. The
+// caller must Release the System.
+func NewSystem(w *workload.Workload, scheme core.Scheme, cfg config.Config, opts Options) (*core.System, []*Stream, error) {
+	streams, err := newStreams(w, scheme, cfg, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	srcs := make([]cpu.Source, len(streams))
+	for i, s := range streams {
+		srcs[i] = s
+	}
+	sys, err := core.NewStreamedSystem(cfg, scheme, srcs, w.InitImage)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sys, streams, nil
 }

@@ -464,6 +464,8 @@ func TestOversizedSpecRefusedAtAdmission(t *testing.T) {
 		`{"type":"campaign","simops":1000000000}`,
 		`{"type":"campaign","sweep":1000000000}`,
 		`{"type":"campaign","threads":17}`,
+		`{"type":"figure","threads":17}`,
+		`{"type":"figure","threads":1000000}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
 		if err != nil {

@@ -159,6 +159,9 @@ func compile(s Spec) (*job, error) {
 		if s.Seed != 0 {
 			j.opts.Seed = s.Seed
 		}
+		if err := j.opts.Validate(); err != nil {
+			return nil, err
+		}
 	case "campaign":
 		benches, err := workload.ParseKinds(cmp.Or(s.Benches, "QE"))
 		if err != nil {
