@@ -5,8 +5,13 @@
 // (write sets with pre/post images, plus the conservative undo-log hints
 // software logging needs).
 //
-// A heap loads and stores through one functional image at a time, shared
-// by every thread's heap; SetImage retargets it.
+// A heap initializes in a private arena: the thread's own lines, indexed
+// directly by address, so the threads of a workload initialize at once
+// and no word goes through the NVM store's page directory. Freeze then
+// ends initialization for a workload's heaps together: it adopts every
+// line their arenas wrote, uncopied, as the init image (an nvm.Store),
+// and points every heap at one fork of it, where the timed operations
+// are recorded.
 //
 // The recorded transactions are the single source the per-scheme code
 // generators (package logging) expand into micro-op traces, and the oracle
@@ -66,7 +71,10 @@ type Heap struct {
 	base, limit uint64
 	next        uint64
 	free        map[int][]uint64 // size class -> free addresses
-	img         *nvm.Store       // shared functional image
+	// arena holds the heap's lines until Freeze, img from then on: the
+	// fork of the init image every heap of the workload shares.
+	arena *arena
+	img   *nvm.Store
 
 	recording bool
 	cur       *Txn
@@ -74,10 +82,11 @@ type Heap struct {
 	nextTxID  uint32
 }
 
-// New creates a heap for thread over the shared functional image. The
+// New creates a heap for thread, initializing in its own arena. The
 // first line of the thread's window is reserved for the software-logging
-// logFlag (see logfmt.LogFlagAddr).
-func New(thread int, img *nvm.Store) *Heap {
+// logFlag (see logfmt.LogFlagAddr). Loads and stores must be 8-byte
+// aligned and inside the window until Freeze; one that is not panics.
+func New(thread int) *Heap {
 	base, limit := isa.HeapWindow(thread)
 	return &Heap{
 		thread: thread,
@@ -85,21 +94,57 @@ func New(thread int, img *nvm.Store) *Heap {
 		limit:  limit,
 		next:   base + isa.LineSize, // skip the logFlag line
 		free:   make(map[int][]uint64),
-		img:    img,
+		arena:  &arena{thread: thread, base: base, limit: limit},
 	}
+}
+
+// Freeze ends the initialization of a workload's heaps, given in thread
+// order. It adopts every line their arenas wrote into a new store, the
+// init image, without copying them (nvm.Adopt), drops the arenas, and
+// points every heap at one fork of the image, so the recording of the
+// timed operations writes the fork and every heap sees every thread's
+// writes. The image's blocks are the arenas' memory, which no heap can
+// reach afterwards; the image itself must never be written (users fork
+// it).
+func Freeze(heaps []*Heap) *nvm.Store {
+	for _, h := range heaps {
+		if h.arena == nil {
+			panic(fmt.Sprintf("heap: thread %d frozen twice", h.thread))
+		}
+	}
+	img := nvm.Adopt(func(put func(uint64, *[isa.LineSize]byte)) {
+		for _, h := range heaps {
+			h.arena.lines(put)
+		}
+	})
+	rec := img.Fork()
+	for _, h := range heaps {
+		h.arena, h.img = nil, rec
+	}
+	return img
 }
 
 // Thread returns the owning thread index.
 func (h *Heap) Thread() int { return h.thread }
 
-// Image returns the shared functional image.
+// Image returns the store the heap loads and stores through after
+// Freeze, the fork every heap of the workload shares; nil before.
 func (h *Heap) Image() *nvm.Store { return h.img }
 
-// SetImage retargets the heap's loads and stores at img. A workload build
-// calls it at the boundary between initialization and recording, so the
-// timed operations write a fork and the store the initialization wrote
-// stays the untouched init image.
-func (h *Heap) SetImage(img *nvm.Store) { h.img = img }
+func (h *Heap) read(addr uint64) uint64 {
+	if h.arena != nil {
+		return h.arena.read(addr)
+	}
+	return h.img.ReadUint64(addr)
+}
+
+func (h *Heap) write(addr, val uint64) {
+	if h.arena != nil {
+		h.arena.write(addr, val)
+		return
+	}
+	h.img.WriteUint64(addr, val)
+}
 
 // Alloc returns a 64-byte-aligned block of at least size bytes. Node
 // allocations are line-aligned per Table 2 ("we size each node to be 64
@@ -137,7 +182,7 @@ func (h *Heap) Free(addr uint64, size int) {
 // Load reads the 8-byte word at addr, recording it when a transaction is
 // being recorded.
 func (h *Heap) Load(addr uint64) uint64 {
-	v := h.img.ReadUint64(addr)
+	v := h.read(addr)
 	if h.recording && h.cur != nil {
 		h.cur.Ops = append(h.cur.Ops, Access{Kind: Load, Addr: addr, Val: v})
 	}
@@ -148,11 +193,11 @@ func (h *Heap) Load(addr uint64) uint64 {
 func (h *Heap) Store(addr uint64, val uint64) {
 	if h.recording && h.cur != nil {
 		if _, ok := h.cur.Pre[addr]; !ok {
-			h.cur.Pre[addr] = h.img.ReadUint64(addr)
+			h.cur.Pre[addr] = h.read(addr)
 		}
 		h.cur.Ops = append(h.cur.Ops, Access{Kind: Store, Addr: addr, Val: val})
 	}
-	h.img.WriteUint64(addr, val)
+	h.write(addr, val)
 }
 
 // LogHint declares that [addr, addr+size) may be modified by the current
@@ -187,7 +232,7 @@ func (h *Heap) End() *Txn {
 		return nil
 	}
 	for addr := range t.Pre {
-		t.Post[addr] = h.img.ReadUint64(addr)
+		t.Post[addr] = h.read(addr)
 	}
 	if h.recording {
 		h.Txns = append(h.Txns, t)

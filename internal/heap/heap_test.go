@@ -4,11 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/nvm"
 )
 
 func TestAllocAlignmentAndWindows(t *testing.T) {
-	h := New(2, nvm.NewStore())
+	h := New(2)
 	base, limit := isa.HeapWindow(2)
 	for i := 0; i < 100; i++ {
 		a := h.Alloc(64)
@@ -22,7 +21,7 @@ func TestAllocAlignmentAndWindows(t *testing.T) {
 }
 
 func TestAllocFreeReuse(t *testing.T) {
-	h := New(0, nvm.NewStore())
+	h := New(0)
 	a := h.Alloc(64)
 	h.Free(a, 64)
 	b := h.Alloc(64)
@@ -32,7 +31,7 @@ func TestAllocFreeReuse(t *testing.T) {
 }
 
 func TestAllocDistinct(t *testing.T) {
-	h := New(0, nvm.NewStore())
+	h := New(0)
 	seen := make(map[uint64]bool)
 	for i := 0; i < 1000; i++ {
 		a := h.Alloc(64)
@@ -44,7 +43,7 @@ func TestAllocDistinct(t *testing.T) {
 }
 
 func TestRecording(t *testing.T) {
-	h := New(0, nvm.NewStore())
+	h := New(0)
 	a := h.Alloc(64)
 	h.Store(a, 1) // unrecorded: recording off
 
@@ -79,7 +78,7 @@ func TestRecording(t *testing.T) {
 }
 
 func TestPreCapturesFirstValueOnly(t *testing.T) {
-	h := New(0, nvm.NewStore())
+	h := New(0)
 	a := h.Alloc(64)
 	h.Store(a, 10)
 	h.SetRecording(true)
@@ -96,7 +95,7 @@ func TestPreCapturesFirstValueOnly(t *testing.T) {
 }
 
 func TestAllocsRecorded(t *testing.T) {
-	h := New(0, nvm.NewStore())
+	h := New(0)
 	h.SetRecording(true)
 	h.Begin(0)
 	a := h.Alloc(64)
@@ -107,7 +106,7 @@ func TestAllocsRecorded(t *testing.T) {
 }
 
 func TestRecordingOffDiscardsTxn(t *testing.T) {
-	h := New(0, nvm.NewStore())
+	h := New(0)
 	a := h.Alloc(64)
 	h.Begin(0)
 	h.Store(a, 1)

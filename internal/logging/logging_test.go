@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/isa"
-	"repro/internal/nvm"
 	"repro/internal/recovery"
 	"repro/internal/workload"
 )
@@ -258,7 +257,7 @@ func TestStaticElimRecoveryStillSound(t *testing.T) {
 // first-write order, with nothing left over from the previous use of the
 // reused scratch.
 func TestWriteLines(t *testing.T) {
-	h := heap.New(0, nvm.NewStore())
+	h := heap.New(0)
 	a := h.Alloc(128)
 	b := h.Alloc(64)
 	h.SetRecording(true)

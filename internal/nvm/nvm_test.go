@@ -218,6 +218,51 @@ func TestSmallStoresAllocateInProportion(t *testing.T) {
 	}
 }
 
+// TestAdoptInstallsBlocksUncopied: Adopt's store holds the very blocks
+// it is given, in a directory and page slab sized exactly, reads them
+// like a store that wrote them, and refuses lines out of ascending order.
+func TestAdoptInstallsBlocksUncopied(t *testing.T) {
+	addrs := []uint64{0x1000, 0x1040, 0x11c0, 0x1200, 0x9000}
+	blocks := make([][isa.LineSize]byte, len(addrs))
+	want := NewStore()
+	for i, a := range addrs {
+		binary.LittleEndian.PutUint64(blocks[i][8:], uint64(i+1))
+		want.Write(a, blocks[i][:])
+	}
+	each := func(put func(uint64, *[isa.LineSize]byte)) {
+		for i, a := range addrs {
+			put(a, &blocks[i])
+		}
+	}
+	s := Adopt(each)
+	for i, a := range addrs {
+		if s.own(a) != &blocks[i] {
+			t.Errorf("line %#x was copied", a)
+		}
+	}
+	// Three pages: 0x1000-0x11c0, 0x1200 and 0x9000.
+	if len(s.pslab) != 0 || len(s.dir.slots) != dirSlotsFor(3) || s.dir.used != 3 {
+		t.Errorf("%d pages, %d spare, in %d directory slots; want 3, 0, %d", s.dir.used, len(s.pslab), len(s.dir.slots), dirSlotsFor(3))
+	}
+	var got, exp bytes.Buffer
+	if err := s.Serialize(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Serialize(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), exp.Bytes()) || s.Blocks() != len(addrs) {
+		t.Fatalf("adopted store serializes unlike the written one (%d blocks)", s.Blocks())
+	}
+	slices.Reverse(addrs)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Adopt took lines in descending order")
+		}
+	}()
+	Adopt(each)
+}
+
 func TestLinesIn(t *testing.T) {
 	s := NewStore()
 	s.WriteUint64(0x1000, 1)

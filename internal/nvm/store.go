@@ -144,6 +144,32 @@ func NewStore() *Store {
 	return &Store{}
 }
 
+// Adopt returns a flat store whose own lines are the given blocks,
+// installed without copying. each calls put once per line, in strictly
+// ascending address order. Adopt calls each twice, first to count the
+// pages, so the directory and the page slab are sized exactly and nothing
+// is resized. The blocks belong to the store from then on: a write to one
+// that bypasses the store would reach every fork of it unguarded.
+func Adopt(each func(put func(addr uint64, b *[isa.LineSize]byte))) *Store {
+	nPages, last := 0, uint64(0)
+	each(func(addr uint64, _ *[isa.LineSize]byte) {
+		if pn := addr >> pageShift; nPages == 0 || pn != last {
+			nPages, last = nPages+1, pn
+		}
+	})
+	s := &Store{pslab: make([]page, nPages)}
+	if nPages > 0 {
+		s.dir.resize(dirSlotsFor(nPages))
+	}
+	each(func(addr uint64, b *[isa.LineSize]byte) {
+		if s.nlines > 0 && isa.LineAddr(addr) <= s.hi {
+			panic(fmt.Sprintf("nvm: Adopt given line %#x after line %#x", addr, s.hi))
+		}
+		s.put(addr, b)
+	})
+	return s
+}
+
 // Fork returns a copy-on-write view of s. The fork sees every line of s
 // and owns every line it writes. Writing s (or any level below it) ends
 // the fork's life: any later access through the fork panics. A fork that

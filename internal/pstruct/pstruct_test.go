@@ -7,10 +7,9 @@ import (
 	"testing/quick"
 
 	"repro/internal/heap"
-	"repro/internal/nvm"
 )
 
-func newHeap() *heap.Heap { return heap.New(0, nvm.NewStore()) }
+func newHeap() *heap.Heap { return heap.New(0) }
 
 // --------------------------------------------------------------- queue
 

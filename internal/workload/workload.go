@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/enum"
 	"repro/internal/heap"
@@ -184,10 +185,11 @@ type Workload struct {
 	Kind   Kind
 	Params Params
 	// InitImage is the functional NVM contents after the fast-forwarded
-	// initialization — the image the timing simulation starts from. It is
-	// the very store the initialization wrote, not a copy, and it is never
-	// written again: users fork it. A write to it would panic every later
-	// access through its forks, the heaps' included.
+	// initialization — the image the timing simulation starts from. Its
+	// blocks are the lines the threads' heap arenas wrote, adopted
+	// uncopied (heap.Freeze), and it is never written: users fork it. A
+	// write to it would panic every later access through its forks, the
+	// heaps' included.
 	InitImage *nvm.Store
 	// Heaps hold the recorded transactions, one per thread. Their image
 	// is a fork of InitImage that the recording wrote, so after Build it
@@ -279,90 +281,101 @@ func (p Params) Validate(k Kind) error {
 	return err
 }
 
-// Build constructs and records the workload.
+// Build constructs and records the workload. Each thread builds and
+// initializes its own structures in its own heap, so the threads
+// initialize at once, one goroutine each; the timed operations are then
+// recorded serially, thread by thread, into one fork of the init image.
 func Build(kind Kind, p Params) (*Workload, error) {
 	if err := p.Validate(kind); err != nil {
 		return nil, err
 	}
-	img := nvm.NewStore()
-	w := &Workload{Kind: kind, Params: p}
-
-	type threadState struct {
-		h   *heap.Heap
-		rng *rand.Rand
-		op  func(r *rand.Rand)
+	type thread struct {
+		h       *heap.Heap
+		rng     *rand.Rand
+		structs []checker
+		op      func(r *rand.Rand)
+		err     error
 	}
-	states := make([]*threadState, p.Threads)
+	threads := make([]thread, p.Threads)
 
 	// Phase 1: build and initialize (fast-forwarded, unrecorded).
-	for t := 0; t < p.Threads; t++ {
-		h := heap.New(t, img)
-		rng := rand.New(rand.NewSource(p.Seed + int64(t)*1_000_003))
-		ts := &threadState{h: h, rng: rng}
-		states[t] = ts
-		w.Heaps = append(w.Heaps, h)
+	var wg sync.WaitGroup
+	for t := range threads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := &threads[t]
+			th.h = heap.New(t)
+			th.rng = rand.New(rand.NewSource(p.Seed + int64(t)*1_000_003))
+			th.structs, th.op, th.err = initThread(kind, th.h, t, p, th.rng)
+		}()
+	}
+	wg.Wait()
 
-		switch kind {
-		case Queue, HashMap, AVLTree, BTree, RBTree:
-			n := kind.structCount()
-			var owned []int
-			for s := 0; s < n; s++ {
-				if s%p.Threads == t {
-					owned = append(owned, s)
-				}
-			}
-			if len(owned) == 0 {
-				owned = append(owned, t%n)
-			}
-			checks, op := buildKeyed(kind, h, t, owned, p, rng)
-			w.Structs = append(w.Structs, checks)
-			ts.op = op
-
-		case StringSwap:
-			arr := pstruct.NewStringArray(h, p.SSItems, p.SSStrSize)
-			w.Structs = append(w.Structs, []checker{arr})
-			lock := lockAddr(t, 0)
-			ts.op = func(r *rand.Rand) {
-				i, j := r.Intn(arr.Len()), r.Intn(arr.Len())
-				h.Begin(lock)
-				arr.Swap(i, j)
-				h.End()
-			}
-			for i := 0; i < p.InitOps; i++ {
-				arr.Swap(rng.Intn(arr.Len()), rng.Intn(arr.Len()))
-			}
-
-		case LinkedList:
-			ll := pstruct.NewLinkedList(h, p.ListNodes, p.ListElems)
-			w.Structs = append(w.Structs, []checker{ll})
-			lock := lockAddr(t, 0)
-			ts.op = func(r *rand.Rand) {
-				h.Begin(lock)
-				ll.UpdateNext(1)
-				h.End()
-			}
-
-		default:
-			return nil, fmt.Errorf("workload: unknown kind %v", kind)
+	w := &Workload{Kind: kind, Params: p}
+	for _, th := range threads {
+		if th.err != nil {
+			return nil, th.err
 		}
+		w.Heaps = append(w.Heaps, th.h)
+		w.Structs = append(w.Structs, th.structs)
 	}
 
 	// The timing simulation starts from the image the initialization
-	// wrote, handed over as is.
-	w.InitImage = img
-
-	// Phase 2: record the timed operations as durable transactions, into
-	// a fork so the init image stays untouched.
-	rec := img.Fork()
-	for _, ts := range states {
-		ts.h.SetImage(rec)
-		ts.h.SetRecording(true)
+	// wrote. Phase 2: record the timed operations as durable
+	// transactions, into the fork Freeze points the heaps at.
+	w.InitImage = heap.Freeze(w.Heaps)
+	for _, th := range threads {
+		th.h.SetRecording(true)
 		for i := 0; i < p.SimOps; i++ {
-			ts.op(ts.rng)
+			th.op(th.rng)
 		}
-		ts.h.SetRecording(false)
+		th.h.SetRecording(false)
 	}
 	return w, nil
+}
+
+// initThread builds and initializes thread t's structures on its heap h
+// and returns them with the thread's timed operation.
+func initThread(kind Kind, h *heap.Heap, t int, p Params, rng *rand.Rand) ([]checker, func(*rand.Rand), error) {
+	switch kind {
+	case Queue, HashMap, AVLTree, BTree, RBTree:
+		n := kind.structCount()
+		var owned []int
+		for s := 0; s < n; s++ {
+			if s%p.Threads == t {
+				owned = append(owned, s)
+			}
+		}
+		if len(owned) == 0 {
+			owned = append(owned, t%n)
+		}
+		checks, op := buildKeyed(kind, h, t, owned, p, rng)
+		return checks, op, nil
+
+	case StringSwap:
+		arr := pstruct.NewStringArray(h, p.SSItems, p.SSStrSize)
+		lock := lockAddr(t, 0)
+		for i := 0; i < p.InitOps; i++ {
+			arr.Swap(rng.Intn(arr.Len()), rng.Intn(arr.Len()))
+		}
+		return []checker{arr}, func(r *rand.Rand) {
+			i, j := r.Intn(arr.Len()), r.Intn(arr.Len())
+			h.Begin(lock)
+			arr.Swap(i, j)
+			h.End()
+		}, nil
+
+	case LinkedList:
+		ll := pstruct.NewLinkedList(h, p.ListNodes, p.ListElems)
+		lock := lockAddr(t, 0)
+		return []checker{ll}, func(r *rand.Rand) {
+			h.Begin(lock)
+			ll.UpdateNext(1)
+			h.End()
+		}, nil
+	}
+	return nil, nil, fmt.Errorf("workload: unknown kind %v", kind)
 }
 
 // buildKeyed constructs the per-thread instances of a keyed benchmark,
