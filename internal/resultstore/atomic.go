@@ -14,8 +14,12 @@ import (
 // the entry even though the file's blocks are on disk — the published
 // result would silently vanish. Only after both syncs is the publish
 // durable. A stale temp file from a crash is harmless — it is never the
-// destination name.
+// destination name. It creates path's directory first when it is
+// missing, so a command's output flag can name a directory of its own.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
 	return writeFileAtomic(osFS{}, path, data, perm)
 }
 

@@ -348,6 +348,19 @@ func TestAtomicWriteLeavesNoTempFiles(t *testing.T) {
 	}
 }
 
+// TestAtomicWriteCreatesMissingDir: a command's -out or -csv may name a
+// directory that does not exist yet (CI's crash-campaign smoke writes
+// campaign/report.json into an empty checkout); the write creates it.
+func TestAtomicWriteCreatesMissingDir(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign", "nested", "report.json")
+	if err := WriteFileAtomic(path, []byte("report"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "report" {
+		t.Fatalf("read back (%q, %v)", data, err)
+	}
+}
+
 // TestAtomicWriteSyncsParentDir pins the crash contract of the publish
 // step: the parent directory must be fsynced after the rename (not
 // before), otherwise a host crash can drop the freshly renamed entry and
