@@ -12,6 +12,7 @@ import (
 	"repro/internal/crashcampaign"
 	"repro/internal/enum"
 	"repro/internal/litmus"
+	"repro/internal/logging"
 	"repro/internal/workload"
 )
 
@@ -85,6 +86,10 @@ func TestEveryEnumRoundTrips(t *testing.T) {
 	})
 	t.Run("fault", func(t *testing.T) {
 		roundTrip(t, crashcampaign.AllFaults, viaText((*crashcampaign.Fault).UnmarshalText), (*crashcampaign.Fault).UnmarshalText, "all", "")
+	})
+	t.Run("persistency model", func(t *testing.T) {
+		roundTrip(t, []logging.PersistencyModel{logging.ModelDurableTx, logging.ModelStrict},
+			viaText((*logging.PersistencyModel).UnmarshalText), (*logging.PersistencyModel).UnmarshalText, "epoch", "")
 	})
 	t.Run("minimize mode", func(t *testing.T) {
 		roundTrip(t, []crashcampaign.MinimizeMode{crashcampaign.MinimizeFailed, crashcampaign.MinimizeAll, crashcampaign.MinimizeOff},

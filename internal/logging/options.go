@@ -6,6 +6,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/enum"
 	"repro/internal/isa"
 	"repro/internal/workload"
 )
@@ -35,6 +36,15 @@ func (m PersistencyModel) String() string {
 	}
 	return fmt.Sprintf("PersistencyModel(%d)", int(m))
 }
+
+var models = enum.Names[PersistencyModel]{What: "persistency model", Values: []PersistencyModel{ModelDurableTx, ModelStrict}}
+
+// MarshalText encodes a persistency model by name.
+func (m PersistencyModel) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText resolves a persistency model name (durable-tx, strict),
+// case-insensitively.
+func (m *PersistencyModel) UnmarshalText(text []byte) error { return models.Unmarshal(m, text) }
 
 // Options tunes code generation.
 type Options struct {
