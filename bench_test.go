@@ -452,8 +452,9 @@ func BenchmarkStepSteadyState(b *testing.B) {
 // BenchmarkWorkloadBuild measures workload.Build, one sub-benchmark per
 // Table 2 benchmark, at the full Table 2 initialization footprint with
 // few timed operations (2 threads, InitScale 1, SimScale 1000): the
-// functional initialization through the heap and the NVM store dominates.
-// Run with -benchmem; bytes/op is the build's allocation.
+// functional initialization in the heaps' arenas, one goroutine per
+// thread, dominates. Run with -benchmem; bytes/op is the build's
+// allocation.
 func BenchmarkWorkloadBuild(b *testing.B) {
 	for _, k := range workload.Table2 {
 		p := k.DefaultParams(1)
