@@ -24,7 +24,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/crashcampaign"
 	"repro/internal/engine"
@@ -34,30 +33,25 @@ import (
 )
 
 func main() {
-	var (
-		benches []workload.Kind
-		schemes []core.Scheme
-		faults  []crashcampaign.Fault
-		mode    crashcampaign.MinimizeMode
-		stepper core.Stepper
-	)
-	enum.ListVar(&benches, "bench", "all", "comma-separated benchmark abbrevs (QE, HM, SS, AT, BT, RT) or all", workload.ParseKinds)
-	enum.ListVar(&schemes, "scheme", "all", "comma-separated schemes or all (the failure-safe set); PMEM+nolog may be named explicitly", core.ParseSchemes)
-	enum.ListVar(&faults, "faults", "clean", "fault models to inject: clean, torn, adrloss, corrupt, all (clean is always included)", crashcampaign.ParseFaults)
-	flag.TextVar(&mode, "minimize", crashcampaign.MinimizeFailed, "which outcomes to minimize: failed, all, off")
+	camp := crashcampaign.Default()
+	var stepper core.Stepper
+	enum.ListVar(&camp.Benches, "bench", "all", "comma-separated benchmark abbrevs (QE, HM, SS, AT, BT, RT) or all", workload.ParseKinds)
+	enum.ListVar(&camp.Schemes, "scheme", "all", "comma-separated schemes or all (the failure-safe set); PMEM+nolog may be named explicitly", core.ParseSchemes)
+	enum.ListVar(&camp.Faults, "faults", "clean", "fault models to inject: clean, torn, adrloss, corrupt, all (clean is always included)", crashcampaign.ParseFaults)
+	flag.TextVar(&camp.Minimize, "minimize", camp.Minimize, "which outcomes to minimize: failed, all, off")
 	flag.TextVar(&stepper, "stepper", core.StepperFast, "cycle-advance strategy: fast (event-driven fast-forward) or reference (per-cycle)")
+	flag.IntVar(&camp.Sweep, "sweep", camp.Sweep, "systematically spaced crash points per tuple")
+	flag.IntVar(&camp.Rand, "rand", camp.Rand, "additional seeded-random crash points per tuple")
+	flag.IntVar(&camp.Params.Threads, "threads", camp.Params.Threads, "worker threads / cores")
+	flag.IntVar(&camp.Params.SimOps, "simops", camp.Params.SimOps, "timed operations per thread")
+	flag.IntVar(&camp.Params.InitOps, "initops", camp.Params.InitOps, "initialization operations per thread")
+	flag.Int64Var(&camp.Params.Seed, "wseed", camp.Params.Seed, "workload seed")
+	flag.Int64Var(&camp.Seed, "seed", camp.Seed, "campaign seed: crash-point choice and per-line fault randomness")
+	flag.StringVar(&camp.ArtifactDir, "artifacts", "", "dump minimized-failure reproducers into this directory")
 	var (
-		sweep      = flag.Int("sweep", 64, "systematically spaced crash points per tuple")
-		randPts    = flag.Int("rand", 0, "additional seeded-random crash points per tuple")
 		jobs       = flag.Int("jobs", 0, "concurrent simulation jobs (0 = GOMAXPROCS)")
 		jobTimeout = flag.Duration("timeout", 10*time.Minute, "wall-clock limit per tuple sweep (0 = none)")
 		out        = flag.String("out", "report.json", "report destination (- = stdout)")
-		artifacts  = flag.String("artifacts", "", "dump minimized-failure reproducers into this directory")
-		threads    = flag.Int("threads", 2, "worker threads / cores")
-		simOps     = flag.Int("simops", 40, "timed operations per thread")
-		initOps    = flag.Int("initops", 256, "initialization operations per thread")
-		wseed      = flag.Int64("wseed", 11, "workload seed")
-		seed       = flag.Int64("seed", 1, "campaign seed: crash-point choice and per-line fault randomness")
 		storeDir   = flag.String("store", "", "persistent result store directory for the underlying simulations")
 		verbose    = flag.Bool("v", false, "log engine job activity to stderr")
 	)
@@ -76,21 +70,7 @@ func main() {
 			}
 		}
 	}
-
-	camp := crashcampaign.Config{
-		Benches: benches,
-		Schemes: schemes,
-		Params: workload.Params{Threads: *threads, InitOps: *initOps, SimOps: *simOps, Seed: *wseed,
-			SSItems: 256, SSStrSize: 256, ListNodes: 4, ListElems: 64},
-		Sim:         config.Default(),
-		Sweep:       *sweep,
-		Rand:        *randPts,
-		Faults:      faults,
-		Seed:        *seed,
-		Minimize:    mode,
-		ArtifactDir: *artifacts,
-		Engine:      engine.New(engCfg),
-	}
+	camp.Engine = engine.New(engCfg)
 
 	start := time.Now()
 	rep, err := crashcampaign.Run(context.Background(), camp)

@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"log/slog"
 
+	"repro/internal/core"
 	"repro/internal/crashcampaign"
 	"repro/internal/engine"
+	"repro/internal/workload"
 )
 
 // RunCampaign executes a crash campaign on the cluster: the bench ×
-// scheme matrix is scattered as one KindCampaignTuple item per pair,
+// scheme matrix is scattered as one KindCampaignTuple item per pair (the
+// normalized config narrowed to that pair),
 // workers sweep each tuple independently, and the coordinator gathers
 // the TupleReports and assembles the final report in matrix order — the
 // exact shape crashcampaign.Run produces locally, so the report bytes
@@ -25,20 +28,11 @@ func RunCampaign(ctx context.Context, co *Coordinator, c crashcampaign.Config) (
 	var ids []string
 	for _, bench := range c.Benches {
 		for _, scheme := range c.Schemes {
-			w := TupleWork{
-				Bench:    bench,
-				Scheme:   scheme,
-				Params:   c.Params,
-				Sim:      c.Sim,
-				Sweep:    c.Sweep,
-				Rand:     c.Rand,
-				Faults:   c.Faults,
-				Seed:     c.Seed,
-				Minimize: c.Minimize,
-			}
-			payload, err := json.Marshal(w)
+			tuple := c
+			tuple.Benches, tuple.Schemes = []workload.Kind{bench}, []core.Scheme{scheme}
+			payload, err := json.Marshal(tuple)
 			if err != nil {
-				return nil, fmt.Errorf("cluster: encoding tuple work: %w", err)
+				return nil, fmt.Errorf("cluster: encoding campaign tuple: %w", err)
 			}
 			ids = append(ids, co.Enqueue(KindCampaignTuple, payload))
 		}

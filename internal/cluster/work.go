@@ -5,11 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/crashcampaign"
 	"repro/internal/engine"
-	"repro/internal/workload"
 )
 
 // Work item kinds. The kind selects the executor on the worker; payloads
@@ -21,44 +18,11 @@ const (
 	// engine.Result's.
 	KindSim = "sim"
 	// KindCampaignTuple is one (bench, scheme) crash-campaign sweep — the
-	// unit the coordinator scatters a campaign into.
+	// unit the coordinator scatters a campaign into. Its payload is the
+	// crashcampaign.Config's JSON encoding narrowed to that one pair, and
+	// its result the crashcampaign.TupleReport's.
 	KindCampaignTuple = "campaign-tuple"
 )
-
-// TupleWork is the wire form of one crash-campaign (bench, scheme) sweep:
-// the campaign parameters narrowed to a single tuple. Bench, scheme and
-// faults travel by name, the minimize mode as its integer; the artifact
-// directory deliberately does not travel — reproducer dumps are a
-// local-debugging feature, and leaving it empty keeps the TupleReport
-// bytes identical to a local (non-cluster) campaign run.
-type TupleWork struct {
-	Bench    workload.Kind              `json:"bench"`
-	Scheme   core.Scheme                `json:"scheme"`
-	Params   workload.Params            `json:"params"`
-	Sim      config.Config              `json:"sim"`
-	Sweep    int                        `json:"sweep"`
-	Rand     int                        `json:"rand"`
-	Faults   []crashcampaign.Fault      `json:"faults"`
-	Seed     int64                      `json:"seed"`
-	Minimize crashcampaign.MinimizeMode `json:"minimize"`
-}
-
-// compile binds the wire form to a single-tuple campaign config on the
-// worker's engine.
-func (w TupleWork) compile(eng *engine.Engine) crashcampaign.Config {
-	return crashcampaign.Config{
-		Benches:  []workload.Kind{w.Bench},
-		Schemes:  []core.Scheme{w.Scheme},
-		Params:   w.Params,
-		Sim:      w.Sim,
-		Sweep:    w.Sweep,
-		Rand:     w.Rand,
-		Faults:   crashcampaign.NormalizeFaults(w.Faults),
-		Seed:     w.Seed,
-		Minimize: w.Minimize,
-		Engine:   eng,
-	}
-}
 
 // executeItem runs one leased item on the worker's engine and returns its
 // canonical result encoding. An error here is an attempt failure: the
@@ -76,11 +40,12 @@ func executeItem(ctx context.Context, eng *engine.Engine, it Item) (json.RawMess
 		}
 		return json.Marshal(res)
 	case KindCampaignTuple:
-		var w TupleWork
-		if err := json.Unmarshal(it.Payload, &w); err != nil {
-			return nil, fmt.Errorf("cluster: decoding tuple work: %w", err)
+		c, err := decodeTuple(it.Payload)
+		if err != nil {
+			return nil, err
 		}
-		rep, err := crashcampaign.RunTuple(ctx, w.compile(eng), w.Bench, w.Scheme)
+		c.Engine = eng
+		rep, err := crashcampaign.RunTuple(ctx, c, c.Benches[0], c.Schemes[0])
 		if err != nil {
 			return nil, err
 		}
@@ -88,4 +53,17 @@ func executeItem(ctx context.Context, eng *engine.Engine, it Item) (json.RawMess
 	default:
 		return nil, fmt.Errorf("cluster: unknown item kind %q", it.Kind)
 	}
+}
+
+// decodeTuple decodes a campaign-tuple payload and refuses one that does
+// not name exactly one bench and one scheme.
+func decodeTuple(payload json.RawMessage) (crashcampaign.Config, error) {
+	var c crashcampaign.Config
+	if err := json.Unmarshal(payload, &c); err != nil {
+		return c, fmt.Errorf("cluster: decoding campaign tuple: %w", err)
+	}
+	if len(c.Benches) != 1 || len(c.Schemes) != 1 {
+		return c, fmt.Errorf("cluster: campaign tuple names %d benches and %d schemes, want one of each", len(c.Benches), len(c.Schemes))
+	}
+	return c, nil
 }

@@ -47,37 +47,58 @@ func (m MinimizeMode) MarshalText() ([]byte, error) { return []byte(m.String()),
 // case-insensitively.
 func (m *MinimizeMode) UnmarshalText(text []byte) error { return minimizeModes.Unmarshal(m, text) }
 
-// Config describes a campaign.
+// Config describes a campaign. It is the one definition of a campaign:
+// proteus-crash and serve's "campaign" spec start from Default, serve
+// names a campaign by its JSON encoding, and that encoding narrowed to
+// one (bench, scheme) pair is the cluster's campaign-tuple payload.
+// ArtifactDir and Engine belong to one process and do not travel.
 type Config struct {
 	// Benches and Schemes form the tuple matrix; empty defaults to the
 	// Table 2 benchmarks × the failure-safe schemes.
-	Benches []workload.Kind
-	Schemes []core.Scheme
+	Benches []workload.Kind `json:"benches"`
+	Schemes []core.Scheme   `json:"schemes"`
 	// Params is the workload shape used for every benchmark.
-	Params workload.Params
+	Params workload.Params `json:"params"`
 	// Sim is the machine configuration; Cores is overridden with
 	// Params.Threads.
-	Sim config.Config
+	Sim config.Config `json:"sim"`
 	// Sweep is the number of systematically spaced crash points per tuple;
 	// Rand adds seeded-random points on top.
-	Sweep int
-	Rand  int
+	Sweep int `json:"sweep"`
+	Rand  int `json:"rand"`
 	// Faults lists the fault models to inject at every point; Normalize
 	// puts FaultClean first even when the list leaves it out.
-	Faults []Fault
+	Faults []Fault `json:"faults"`
 	// Seed drives crash-point choice and per-injection randomness.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// Minimize selects which outcomes are minimized.
-	Minimize MinimizeMode
+	Minimize MinimizeMode `json:"minimize"`
 	// ArtifactDir, when set, receives one reproducer directory per
-	// minimized failure.
-	ArtifactDir string
+	// minimized failure. It stays local, so a tuple swept on a cluster
+	// worker reports the same bytes as a local run.
+	ArtifactDir string `json:"-"`
 	// Engine executes all simulation work: the full-length reference runs
 	// (memoized jobs shared with any experiments on the same engine) and
 	// one forward sweep per tuple (bounded by the same worker pool; its
 	// JobTimeout limits each tuple sweep). The sweeps step with the
 	// engine's Stepper.
-	Engine *engine.Engine
+	Engine *engine.Engine `json:"-"`
+}
+
+// Default returns proteus-crash's campaign: two threads of 256
+// initialization and 40 timed operations at workload seed 11, the
+// default machine, 64 sweep points, clean crashes and campaign seed 1,
+// over every Table 2 benchmark and failure-safe scheme (Normalize fills
+// the empty matrix).
+func Default() Config {
+	return Config{
+		Params: workload.Params{Threads: 2, InitOps: 256, SimOps: 40, Seed: 11,
+			SSItems: 256, SSStrSize: 256, ListNodes: 4, ListElems: 64},
+		Sim:    config.Default(),
+		Sweep:  64,
+		Faults: []Fault{FaultClean},
+		Seed:   1,
+	}
 }
 
 // Normalize fills defaulted fields (benchmark matrix, fault list, sweep
@@ -86,9 +107,7 @@ type Config struct {
 // normalizes once on the coordinator and once per tuple on the workers,
 // and both sides end up with the same Info and config fingerprint a local
 // Run would produce.
-func (c *Config) Normalize() { c.fill() }
-
-func (c *Config) fill() {
+func (c *Config) Normalize() {
 	if len(c.Benches) == 0 {
 		c.Benches = workload.Table2
 	}
@@ -125,7 +144,7 @@ func (c *Config) Validate() error {
 
 // ready normalizes c for a run and checks it can run.
 func (c *Config) ready() error {
-	c.fill()
+	c.Normalize()
 	if c.Engine == nil {
 		return fmt.Errorf("crashcampaign: Config.Engine is required")
 	}

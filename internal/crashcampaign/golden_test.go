@@ -7,33 +7,22 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/workload"
 )
 
-// cliCampaign is the campaign proteus-crash runs for the given flags: its
-// workload shape at the CLI's fixed structure sizes, the default machine,
-// and its default minimize mode (failed).
-func cliCampaign(benches []workload.Kind, schemes []core.Scheme, faults string, sweep, rnd int, mode MinimizeMode, threads, initOps, simOps int, wseed, seed int64) Config {
+// cliCampaign is the campaign proteus-crash runs for the given flags,
+// every other flag at its default: Default with those flags set.
+func cliCampaign(benches []workload.Kind, schemes []core.Scheme, faults string, sweep int, mode MinimizeMode) Config {
 	fs, err := ParseFaults(faults)
 	if err != nil {
 		panic(err)
 	}
-	return Config{
-		Benches: benches,
-		Schemes: schemes,
-		Params: workload.Params{Threads: threads, InitOps: initOps, SimOps: simOps, Seed: wseed,
-			SSItems: 256, SSStrSize: 256, ListNodes: 4, ListElems: 64},
-		Sim:      config.Default(),
-		Sweep:    sweep,
-		Rand:     rnd,
-		Faults:   fs,
-		Seed:     seed,
-		Minimize: mode,
-		Engine:   engine.New(engine.Config{Workers: 2}),
-	}
+	c := Default()
+	c.Benches, c.Schemes, c.Faults, c.Sweep, c.Minimize = benches, schemes, fs, sweep, mode
+	c.Engine = engine.New(engine.Config{Workers: 2})
+	return c
 }
 
 // TestGoldenReports regenerates committed proteus-crash reports through
@@ -41,26 +30,24 @@ func cliCampaign(benches []workload.Kind, schemes []core.Scheme, faults string, 
 // line that produced it.
 func TestGoldenReports(t *testing.T) {
 	failSafe := []core.Scheme{core.PMEM, core.PMEMPcommit, core.ATOM, core.ProteusNoLWR, core.Proteus}
+	// proteus-crash -bench RT -scheme Proteus -sweep 32 -rand 8 -faults all
+	//   -threads 2 -initops 1024 -simops 160 -wseed 54 -seed 54
+	rt := cliCampaign([]workload.Kind{workload.RBTree}, []core.Scheme{core.Proteus}, "all", 32, MinimizeFailed)
+	rt.Rand, rt.Params.InitOps, rt.Params.SimOps, rt.Params.Seed, rt.Seed = 8, 1024, 160, 54, 54
 	for _, g := range []struct {
 		file string
 		cfg  Config
 	}{
 		// proteus-crash -bench QE,SS -scheme all -sweep 16 -faults torn
-		{"ci-smoke.json", cliCampaign([]workload.Kind{workload.Queue, workload.StringSwap}, failSafe,
-			"torn", 16, 0, MinimizeFailed, 2, 256, 40, 11, 1)},
+		{"ci-smoke.json", cliCampaign([]workload.Kind{workload.Queue, workload.StringSwap}, failSafe, "torn", 16, MinimizeFailed)},
 		// proteus-crash -bench SS -scheme PMEM+nolog -sweep 220 -minimize all
-		{"ss-pmemnolog-minimize.json", cliCampaign([]workload.Kind{workload.StringSwap}, []core.Scheme{core.PMEMNoLog},
-			"clean", 220, 0, MinimizeAll, 2, 256, 40, 11, 1)},
+		{"ss-pmemnolog-minimize.json", cliCampaign([]workload.Kind{workload.StringSwap}, []core.Scheme{core.PMEMNoLog}, "clean", 220, MinimizeAll)},
 		// proteus-crash -bench SS -scheme PMEM+nolog -sweep 16 -faults torn -minimize all
 		// pins mask shrinking: two minimized injections shrink 2 targets to 1.
-		{"ss-pmemnolog-torn-minimize.json", cliCampaign([]workload.Kind{workload.StringSwap}, []core.Scheme{core.PMEMNoLog},
-			"torn", 16, 0, MinimizeAll, 2, 256, 40, 11, 1)},
-		// proteus-crash -bench RT -scheme Proteus -sweep 32 -rand 8 -faults all
-		//   -threads 2 -initops 1024 -simops 160 -wseed 54 -seed 54
-		// holds the open Proteus clean-crash defect: one failed injection,
-		// minimized from cycle 4265 to 3727.
-		{"rt-proteus-defect.json", cliCampaign([]workload.Kind{workload.RBTree}, []core.Scheme{core.Proteus},
-			"all", 32, 8, MinimizeFailed, 2, 1024, 160, 54, 54)},
+		{"ss-pmemnolog-torn-minimize.json", cliCampaign([]workload.Kind{workload.StringSwap}, []core.Scheme{core.PMEMNoLog}, "torn", 16, MinimizeAll)},
+		// rt (above) holds the open Proteus clean-crash defect: one failed
+		// injection, minimized from cycle 4265 to 3727.
+		{"rt-proteus-defect.json", rt},
 	} {
 		t.Run(g.file, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", g.file))

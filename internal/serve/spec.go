@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/crashcampaign"
 	"repro/internal/engine"
@@ -31,11 +30,11 @@ import (
 //     experiments.Suite; Scale "quick" uses the test sizing, anything
 //     else the standard reduced scale.
 //   - "campaign": a crash-campaign sweep (benches × schemes × faults).
-//     Unset fields take proteus-crash's defaults with three exceptions:
-//     benches default to QE and schemes to Proteus (proteus-crash: all
-//     and all), and sweep to 16 (proteus-crash: 64). Benches, schemes and
-//     faults are comma-separated lists in which "all" means what it means
-//     to proteus-crash.
+//     It starts from crashcampaign.Default, proteus-crash's defaults, with
+//     three exceptions: benches default to QE and schemes to Proteus
+//     (proteus-crash: all and all), and sweep to 16 (proteus-crash: 64).
+//     Benches, schemes and faults are comma-separated lists in which
+//     "all" means what it means to proteus-crash.
 type Spec struct {
 	Type string `json:"type"`
 
@@ -89,8 +88,9 @@ type job struct {
 // requests with the same fingerprint share one queued task. For sim jobs
 // it is the engine's own job fingerprint — the same key the memo table
 // and the result store use — so the collapse is exactly as wide as the
-// cache. Figure and campaign jobs hash their normalized parameters. The
-// execution deadline is part of the identity only through TimeoutMS, so
+// cache. Figure jobs hash their normalized parameters, and campaign jobs
+// their config's JSON encoding, every field that travels. The execution
+// deadline is part of the identity only through TimeoutMS, so
 // differently-bounded submissions do not share a task.
 func (j *job) fingerprint() string {
 	switch j.spec.Type {
@@ -102,9 +102,8 @@ func (j *job) fingerprint() string {
 	case "figure":
 		return hash(fmt.Sprintf("figure/%s/%#v/%d", j.figure, j.opts, j.spec.TimeoutMS))
 	default:
-		c := j.campaign
-		return hash(fmt.Sprintf("campaign/%v/%v/%#v/%s/%d/%d/%v/%d/%d",
-			c.Benches, c.Schemes, c.Params, c.Sim.Fingerprint(), c.Sweep, c.Rand, c.Faults, c.Seed, j.spec.TimeoutMS))
+		enc, _ := json.Marshal(j.campaign)
+		return hash(fmt.Sprintf("campaign/%s/%d", enc, j.spec.TimeoutMS))
 	}
 }
 
@@ -163,30 +162,27 @@ func compile(s Spec) (*job, error) {
 			return nil, err
 		}
 	case "campaign":
-		benches, err := workload.ParseKinds(cmp.Or(s.Benches, "QE"))
-		if err != nil {
+		c := crashcampaign.Default()
+		var err error
+		if c.Benches, err = workload.ParseKinds(cmp.Or(s.Benches, "QE")); err != nil {
 			return nil, err
 		}
-		schemes, err := core.ParseSchemes(cmp.Or(s.Schemes, "Proteus"))
-		if err != nil {
+		if c.Schemes, err = core.ParseSchemes(cmp.Or(s.Schemes, "Proteus")); err != nil {
 			return nil, err
 		}
-		faults, err := crashcampaign.ParseFaults(cmp.Or(s.Faults, "clean"))
-		if err != nil {
-			return nil, err
+		if s.Faults != "" {
+			if c.Faults, err = crashcampaign.ParseFaults(s.Faults); err != nil {
+				return nil, err
+			}
 		}
-		j.campaign = crashcampaign.Config{
-			Benches: benches,
-			Schemes: schemes,
-			Params: workload.Params{Threads: cmp.Or(max(s.Threads, 0), 2),
-				InitOps: cmp.Or(max(s.InitOps, 0), 256), SimOps: cmp.Or(max(s.SimOps, 0), 40),
-				Seed: cmp.Or(s.Seed, 11), SSItems: 256, SSStrSize: 256, ListNodes: 4, ListElems: 64},
-			Sim:    config.Default(),
-			Sweep:  cmp.Or(max(s.Sweep, 0), 16),
-			Rand:   s.Rand,
-			Faults: faults,
-			Seed:   cmp.Or(s.CampaignSeed, 1),
-		}
+		c.Params.Threads = cmp.Or(max(s.Threads, 0), c.Params.Threads)
+		c.Params.InitOps = cmp.Or(max(s.InitOps, 0), c.Params.InitOps)
+		c.Params.SimOps = cmp.Or(max(s.SimOps, 0), c.Params.SimOps)
+		c.Params.Seed = cmp.Or(s.Seed, c.Params.Seed)
+		c.Sweep = cmp.Or(max(s.Sweep, 0), 16)
+		c.Rand = s.Rand
+		c.Seed = cmp.Or(s.CampaignSeed, c.Seed)
+		j.campaign = c
 		if err := j.campaign.Validate(); err != nil {
 			return nil, err
 		}

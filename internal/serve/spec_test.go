@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -30,4 +32,46 @@ func TestCampaignSpecNames(t *testing.T) {
 		!slices.Equal(c.Faults, []crashcampaign.Fault{crashcampaign.FaultClean, crashcampaign.FaultTorn}) {
 		t.Fatalf("mixed-case names compiled to %v × %v × %v", c.Benches, c.Schemes, c.Faults)
 	}
+}
+
+// TestCampaignFingerprintCoversEveryField: submissions that share a
+// fingerprint share one task, so every crashcampaign.Config field that
+// travels (all but those tagged json:"-"), found by reflection so a new
+// field is covered too, must change the campaign fingerprint.
+func TestCampaignFingerprintCoversEveryField(t *testing.T) {
+	base, err := compile(Spec{Type: "campaign"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walk func(path string, index []int, typ reflect.Type)
+	walk = func(path string, index []int, typ reflect.Type) {
+		if typ.Kind() == reflect.Struct {
+			for i := 0; i < typ.NumField(); i++ {
+				if f := typ.Field(i); f.IsExported() && f.Tag.Get("json") != "-" {
+					walk(strings.TrimPrefix(path+"."+f.Name, "."), append(slices.Clone(index), i), f.Type)
+				}
+			}
+			return
+		}
+		j := *base
+		v := reflect.ValueOf(&j.campaign).Elem().FieldByIndex(index)
+		switch {
+		case v.Kind() == reflect.Slice:
+			v.Set(reflect.Append(v, reflect.Zero(typ.Elem())))
+		case v.CanInt():
+			v.SetInt(v.Int() + 1)
+		case v.CanFloat():
+			v.SetFloat(v.Float() + 1)
+		case v.Kind() == reflect.Bool:
+			v.SetBool(!v.Bool())
+		case v.Kind() == reflect.String:
+			v.SetString(v.String() + "x")
+		default:
+			t.Fatalf("campaign field %s: no change for kind %v", path, v.Kind())
+		}
+		if j.fingerprint() == base.fingerprint() {
+			t.Errorf("campaign field %s does not change the fingerprint", path)
+		}
+	}
+	walk("", nil, reflect.TypeOf(crashcampaign.Config{}))
 }
