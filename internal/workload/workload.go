@@ -102,30 +102,6 @@ type Params struct {
 	// LinkedList (Table 3) sizing.
 	ListNodes int // per thread
 	ListElems int // elements per node = per-transaction update count
-
-	// Mix controls the operation mix for the keyed benchmarks beyond the
-	// paper's 50/50 insert-or-delete: percentages of inserts, deletes and
-	// read-only lookups. Zero values select the paper's mix (50/50/0).
-	Mix OpMix
-}
-
-// OpMix is an operation mix in percent; the three fields sum to 100 (or
-// all zero for the default 50/50 insert/delete mix of §5.2).
-type OpMix struct {
-	InsertPct int
-	DeletePct int
-	LookupPct int
-}
-
-func (m OpMix) normalized() (OpMix, error) {
-	if m == (OpMix{}) {
-		return OpMix{InsertPct: 50, DeletePct: 50}, nil
-	}
-	if m.InsertPct < 0 || m.DeletePct < 0 || m.LookupPct < 0 ||
-		m.InsertPct+m.DeletePct+m.LookupPct != 100 {
-		return m, fmt.Errorf("workload: operation mix %+v does not sum to 100", m)
-	}
-	return m, nil
 }
 
 // DefaultParams returns the Table 2 configuration for the benchmark,
@@ -210,32 +186,27 @@ type keyed interface {
 	checker
 	insert(key uint64) bool
 	remove(key uint64) bool
-	lookup(key uint64) bool
 }
 
 type hashMapAdapter struct{ *pstruct.HashMap }
 
 func (a hashMapAdapter) insert(k uint64) bool { return a.Insert(k, k^0xDEAD) }
 func (a hashMapAdapter) remove(k uint64) bool { return a.Delete(k) }
-func (a hashMapAdapter) lookup(k uint64) bool { _, ok := a.Lookup(k); return ok }
 
 type avlAdapter struct{ *pstruct.AVL }
 
 func (a avlAdapter) insert(k uint64) bool { return a.Insert(k, k^0xDEAD) }
 func (a avlAdapter) remove(k uint64) bool { return a.Delete(k) }
-func (a avlAdapter) lookup(k uint64) bool { _, ok := a.Lookup(k); return ok }
 
 type btreeAdapter struct{ *pstruct.BTree }
 
 func (a btreeAdapter) insert(k uint64) bool { return a.Insert(k) }
 func (a btreeAdapter) remove(k uint64) bool { return a.Delete(k) }
-func (a btreeAdapter) lookup(k uint64) bool { return a.Contains(k) }
 
 type rbAdapter struct{ *pstruct.RBTree }
 
 func (a rbAdapter) insert(k uint64) bool { return a.Insert(k, k^0xDEAD) }
 func (a rbAdapter) remove(k uint64) bool { return a.Delete(k) }
-func (a rbAdapter) lookup(k uint64) bool { _, ok := a.Lookup(k); return ok }
 
 // Per-thread size bounds. A build does not check its context, so an
 // operation count above Table 2's largest (100,000) would outlive every
@@ -252,8 +223,8 @@ const (
 )
 
 // Validate reports a shape Build refuses: a thread count above the
-// address space's windows, an operation count out of bounds, a bad mix,
-// or out-of-bounds sizes for the structure kind k builds. Build checks
+// address space's windows, an operation count out of bounds, or
+// out-of-bounds sizes for the structure kind k builds. Build checks
 // it first, and job specs check it at admission, before anything is
 // built.
 func (p Params) Validate(k Kind) error {
@@ -277,8 +248,7 @@ func (p Params) Validate(k Kind) error {
 			return fmt.Errorf("workload: %s %d outside [%d, %d]", b.name, b.v, b.lo, b.hi)
 		}
 	}
-	_, err := p.Mix.normalized()
-	return err
+	return nil
 }
 
 // Build constructs and records the workload. Each thread builds and
@@ -448,19 +418,17 @@ func buildKeyed(kind Kind, h *heap.Heap, thread int, owned []int, p Params, rng 
 	for i := 0; i < p.InitOps; i++ {
 		sets[rng.Intn(len(sets))].insert(key(rng))
 	}
-	mix, _ := p.Mix.normalized()
 	return checks, func(r *rand.Rand) {
 		si := r.Intn(len(sets))
 		s := sets[si]
 		lock := lockAddr(thread, si)
 		h.Begin(lock)
-		switch roll := r.Intn(100); {
-		case roll < mix.InsertPct:
+		// The paper's 50/50 insert-or-delete (§5.2), rolled in percent:
+		// every recorded workload depends on this exact draw.
+		if r.Intn(100) < 50 {
 			s.insert(key(r))
-		case roll < mix.InsertPct+mix.DeletePct:
+		} else {
 			s.remove(key(r))
-		default:
-			s.lookup(key(r))
 		}
 		h.End()
 	}

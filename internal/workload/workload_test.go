@@ -115,7 +115,6 @@ func TestParamsValidateBounds(t *testing.T) {
 		"simops":    {Queue, func(p *Params) { p.SimOps = 1_000_000_000 }},
 		"no simops": {Queue, func(p *Params) { p.SimOps = 0 }},
 		"threads":   {Queue, func(p *Params) { p.Threads = isa.MaxThreads + 1 }},
-		"mix":       {HashMap, func(p *Params) { p.Mix = OpMix{InsertPct: 60} }},
 		"ss items":  {StringSwap, func(p *Params) { p.SSItems = 0 }},
 		"ss size":   {StringSwap, func(p *Params) { p.SSStrSize = 1 << 30 }},
 		"ll nodes":  {LinkedList, func(p *Params) { p.ListNodes = 0 }},
@@ -218,29 +217,5 @@ func TestInitImagePredatesSimOps(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestOpMix(t *testing.T) {
-	// Lookup-heavy mix: transactions exist but most write nothing.
-	p := Params{Threads: 1, InitOps: 128, SimOps: 64, Seed: 4,
-		Mix: OpMix{InsertPct: 10, DeletePct: 10, LookupPct: 80}}
-	w, err := Build(HashMap, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	readOnly := 0
-	for _, txn := range w.Heaps[0].Txns {
-		if len(txn.Pre) == 0 {
-			readOnly++
-		}
-	}
-	if readOnly < 64/4 {
-		t.Fatalf("only %d of 64 transactions were read-only under an 80%% lookup mix", readOnly)
-	}
-	// Invalid mixes are rejected.
-	if _, err := Build(HashMap, Params{Threads: 1, InitOps: 16, SimOps: 8,
-		Mix: OpMix{InsertPct: 60, DeletePct: 60}}); err == nil {
-		t.Fatal("mix summing to 120 accepted")
 	}
 }
