@@ -71,9 +71,6 @@ type Config struct {
 	// DefaultTimeout bounds a job's execution when the spec does not set
 	// timeout_ms; 0 means unbounded.
 	DefaultTimeout time.Duration
-	// RetryAfter is advertised in the Retry-After header of 429/503
-	// responses; <= 0 means 1s.
-	RetryAfter time.Duration
 	// Cluster, when non-nil, turns this server into the cluster
 	// coordinator: its work-pull protocol is mounted under /v1/cluster/,
 	// and "sim" and "campaign" submissions are scattered to pull-based
@@ -149,9 +146,6 @@ func New(conf Config) (*Server, error) {
 	}
 	if conf.Workers <= 0 {
 		conf.Workers = 2
-	}
-	if conf.RetryAfter <= 0 {
-		conf.RetryAfter = time.Second
 	}
 	log := conf.Logger
 	if log == nil {
@@ -505,11 +499,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	t, deduped, err := s.Submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", retryAfterSeconds(s.conf.RetryAfter))
+		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", retryAfterSeconds(s.conf.RetryAfter))
+		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
@@ -638,17 +632,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, status)
-}
-
-// retryAfterSeconds renders d as a whole-second Retry-After value,
-// rounding up: advertising the floor of a 2.9s window invites clients
-// back 900ms early into a still-full queue.
-func retryAfterSeconds(d time.Duration) string {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
