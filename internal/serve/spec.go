@@ -102,6 +102,8 @@ func (j *job) fingerprint() string {
 	case "figure":
 		return hash(fmt.Sprintf("figure/%s/%#v/%d", j.figure, j.opts, j.spec.TimeoutMS))
 	default:
+		// The encoding cannot fail: a Config's enums encode by name, and
+		// its one float, the clock ratio, is config.Default's.
 		enc, _ := json.Marshal(j.campaign)
 		return hash(fmt.Sprintf("campaign/%s/%d", enc, j.spec.TimeoutMS))
 	}
