@@ -14,12 +14,12 @@ import (
 
 // RunCampaign executes a crash campaign on the cluster: the bench ×
 // scheme matrix is scattered as one KindCampaignTuple item per pair (the
-// normalized config narrowed to that pair),
-// workers sweep each tuple independently, and the coordinator gathers
-// the TupleReports and assembles the final report in matrix order — the
-// exact shape crashcampaign.Run produces locally, so the report bytes
-// are identical whether a campaign ran in-process, on 1 worker, or on N
-// workers with crashes along the way.
+// normalized config narrowed to that pair), workers sweep each tuple
+// independently, and the coordinator gathers the TupleReports and
+// assembles the final report in matrix order — the exact shape
+// crashcampaign.Run produces locally, so the report bytes are identical
+// whether a campaign ran in-process, on 1 worker, or on N workers with
+// crashes along the way.
 //
 // A quarantined tuple (an item that failed its whole retry budget) fails
 // the campaign with ErrQuarantined rather than wedging it.

@@ -85,11 +85,9 @@ type Config struct {
 	Engine *engine.Engine `json:"-"`
 }
 
-// Default returns proteus-crash's campaign: two threads of 256
-// initialization and 40 timed operations at workload seed 11, the
-// default machine, 64 sweep points, clean crashes and campaign seed 1,
-// over every Table 2 benchmark and failure-safe scheme (Normalize fills
-// the empty matrix).
+// Default returns proteus-crash's campaign, which every campaign a flag
+// or request describes starts from. Its matrix is empty, so Normalize
+// fills in the Table 2 benchmarks × the failure-safe schemes.
 func Default() Config {
 	return Config{
 		Params: workload.Params{Threads: 2, InitOps: 256, SimOps: 40, Seed: 11,
